@@ -25,6 +25,10 @@ type Gate struct {
 	natTarget atomic.Pointer[nativeTarget]
 	proxy     atomic.Pointer[proxyBox]
 
+	// createdAt is the gate's index in owner.created (owner.mu), so a
+	// revoked proxy gate leaves that list in O(1).
+	createdAt int
+
 	// failure, when set before revocation, is the error subsequent
 	// invokers receive instead of the bare ErrRevoked — e.g. "remote
 	// connection lost" for proxies whose transport died.
@@ -64,7 +68,12 @@ func (g *Gate) Revoked() bool {
 func (g *Gate) revoke() {
 	g.vmTarget.Store(nil)
 	g.natTarget.Store(nil)
-	g.proxy.Store(nil)
+	if g.proxy.Swap(nil) != nil {
+		// Proxy gates churn with the wire (one per import) and nothing
+		// looks them up by id, so a revoked one must not stay pinned in
+		// its owner's list for the owner's lifetime.
+		g.owner.dropGate(g)
+	}
 	g.hookMu.Lock()
 	if g.hooksFired {
 		g.hookMu.Unlock()

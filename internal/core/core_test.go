@@ -794,3 +794,55 @@ func TestSuspendedCallerSegmentParksOnReturn(t *testing.T) {
 		t.Fatal("carrier never resumed")
 	}
 }
+
+// nullProxy is an in-memory transport: a ProxyTarget without the async
+// method, like the benchmark's.
+type nullProxy struct{}
+
+func (nullProxy) InvokeProxy(string, []any) ([]any, int64, error) { return nil, 0, nil }
+func (nullProxy) ProxyMethods() []string                          { return []string{"Null"} }
+
+// Proxy gates churn with the wire: after any number of create/revoke
+// cycles the kernel's gate table and the owner's created list are back to
+// baseline, and termination still revokes every live proxy.
+func TestRevokedProxyGatesAreFreed(t *testing.T) {
+	k := MustNew(Options{})
+	d, err := k.NewDomain(DomainConfig{Name: "conn"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gates := func() int {
+		n := 0
+		k.gates.Range(func(any, any) bool { n++; return true })
+		return n
+	}
+	baseGates, baseCreated := gates(), d.CreatedCapabilities()
+	var live []*Capability
+	for i := 0; i < 1000; i++ {
+		c, err := k.CreateProxyCapability(d, nullProxy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%100 == 0 {
+			live = append(live, c) // a few survive, in the middle of the list
+			continue
+		}
+		c.Revoke()
+	}
+	for _, c := range live[:5] {
+		c.Revoke()
+	}
+	live = live[5:]
+	if g, n := gates(), d.CreatedCapabilities(); g != baseGates || n != baseCreated+len(live) {
+		t.Fatalf("after churn: gates %d (base %d), created %d (want %d)", g, baseGates, n, baseCreated+len(live))
+	}
+	d.Terminate("done")
+	for _, c := range live {
+		if !c.Revoked() {
+			t.Fatal("termination left a live proxy")
+		}
+	}
+	if n := d.CreatedCapabilities(); n != baseCreated {
+		t.Fatalf("after termination: created %d, want %d", n, baseCreated)
+	}
+}

@@ -148,11 +148,29 @@ func (d *Domain) Terminate(reason string) {
 // addGate records a gate created by this domain (revoked on termination).
 func (d *Domain) addGate(g *Gate) {
 	d.mu.Lock()
+	g.createdAt = len(d.created)
 	d.created = append(d.created, g)
 	d.mu.Unlock()
 }
 
-// CreatedCapabilities returns how many capabilities the domain created.
+// dropGate removes a revoked gate from the domain's list (swap-remove:
+// termination revokes the list in no particular order).
+func (d *Domain) dropGate(g *Gate) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	i := g.createdAt
+	if i >= len(d.created) || d.created[i] != g {
+		return
+	}
+	last := len(d.created) - 1
+	d.created[i] = d.created[last]
+	d.created[i].createdAt = i
+	d.created[last] = nil
+	d.created = d.created[:last]
+}
+
+// CreatedCapabilities returns how many capabilities the domain created,
+// less the proxy capabilities already revoked.
 func (d *Domain) CreatedCapabilities() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -3,8 +3,6 @@ package core
 import (
 	"sync"
 	"sync/atomic"
-
-	"jkernel/internal/telemetry"
 )
 
 // Asynchronous invocation: InvokeAsync starts a cross-domain call and
@@ -15,7 +13,10 @@ import (
 // LRMI on a detached task, while transports that implement
 // AsyncProxyTarget (internal/remote) start a genuinely non-blocking wire
 // invocation, which is what lets the connection coalesce many pending
-// calls into one multi-invoke frame.
+// calls into one multi-invoke frame. AsyncProxyTarget is also the only
+// wire entry point for synchronous calls: a sync Invoke on a proxy gate
+// is start-then-wait on the task's own completer (see invokeProxy), so
+// sync and async calls share one client path and one server handler.
 //
 // Future semantics, proven equivalent for local and remote gates by the
 // conformance table in future_conformance_test.go:
@@ -261,25 +262,18 @@ func (c *Capability) invokeAsync(task *Task, caller *Domain, name string, args [
 	}
 
 	// Transports that can start a call without blocking take the wire
-	// path: the completion callback runs on the transport's reader, and
-	// pending calls may be coalesced into batched frames.
+	// path: the completion runs on the transport's reader, and pending
+	// calls may be coalesced into batched frames.
 	if pb := g.proxy.Load(); pb != nil {
 		if apt, ok := pb.t.(AsyncProxyTarget); ok {
 			// The future is its own completion callback (CompleteWire):
 			// no per-call closure crosses into the transport.
 			f.wk, f.wCaller, f.wCallee = k, caller.ID, g.owner.ID
-			var cancel AsyncCanceler
-			// Traced transports receive the active context so it crosses
-			// the wire inside the (possibly batched) invoke frame.
-			tc := telemetry.TraceContext{}
+			call := ProxyCall{Method: name, Args: args}
 			if k.tm != nil {
-				tc = task.effectiveTrace()
+				call.Trace = task.effectiveTrace()
 			}
-			if tapt, ok := apt.(TracedAsyncProxyTarget); ok && tc.Active() {
-				cancel = tapt.InvokeProxyAsyncTraced(name, args, tc, f)
-			} else {
-				cancel = apt.InvokeProxyAsync(name, args, f)
-			}
+			cancel := apt.InvokeProxyAsync(call, f)
 			k.tm.edgeInc(task, caller, g.owner)
 			f.setCancel(cancel)
 			return f

@@ -313,6 +313,8 @@ type Task struct {
 	// tasks otherwise bounces one cache line between every worker on every
 	// call, which costs more than the counting itself.
 	stripe uint64
+	// proxyWait completes this task's synchronous proxy calls.
+	proxyWait proxyWait
 }
 
 // taskStripe hands each new task the next counter stripe round-robin.

@@ -1,6 +1,11 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+
+	"jkernel/internal/telemetry"
+)
 
 // Proxy targets: the third kind of gate target, behind which a transport
 // (internal/remote) forwards invocations to a capability living in another
@@ -43,15 +48,25 @@ type AsyncCanceler interface {
 	CancelAsync()
 }
 
+// ProxyCall is the call record a proxy gate hands its transport.
+type ProxyCall struct {
+	Method string
+	Args   []any
+	// Trace is the caller's active trace context (zero when untraced);
+	// the transport carries it to the serving kernel.
+	Trace telemetry.TraceContext
+}
+
 // AsyncProxyTarget is the optional non-blocking half of a transport
-// proxy. InvokeProxyAsync starts one remote invocation and returns
-// without waiting; done.CompleteWire fires exactly once. Transports
-// implement it so the kernel's InvokeAsync neither blocks nor burns a
-// goroutine per call — which is what allows the wire layer to coalesce
-// pending invokes into batched frames.
+// proxy, and the one entry point for wire calls: InvokeProxyAsync starts
+// one remote invocation and returns without waiting; done.CompleteWire
+// fires exactly once. A synchronous invoke is start-then-wait on the same
+// method, so the kernel's InvokeAsync neither blocks nor burns a
+// goroutine per call, and sync and async calls coalesce into the same
+// batched frames.
 type AsyncProxyTarget interface {
 	ProxyTarget
-	InvokeProxyAsync(method string, args []any, done AsyncCompleter) AsyncCanceler
+	InvokeProxyAsync(call ProxyCall, done AsyncCompleter) AsyncCanceler
 }
 
 // proxyBox wraps the interface so the gate can hold it atomically.
@@ -70,7 +85,8 @@ func (k *Kernel) CreateProxyCapability(d *Domain, pt ProxyTarget) (*Capability, 
 	}
 	g := &Gate{k: k, id: k.nextGate.Add(1), owner: d}
 	g.proxy.Store(&proxyBox{t: pt})
-	k.gates.Store(g.id, g)
+	// Not in k.gates: only VM stubs look gates up by id, and VM domains
+	// cannot hold proxies.
 	d.addGate(g)
 	return &Capability{g: g}, nil
 }
@@ -126,18 +142,12 @@ func (c *Capability) invokeProxy(task *Task, caller *Domain, pt ProxyTarget, nam
 	var results []any
 	var copied int64
 	var err error
-	// Traced transports receive the active context so it crosses the wire;
-	// the type assertion is paid only when a trace is actually running.
-	if tm := k.tm; tm != nil {
-		if tc := task.effectiveTrace(); tc.Active() {
-			if tpt, ok := pt.(TracedProxyTarget); ok {
-				results, copied, err = tpt.InvokeProxyTraced(name, args, tc)
-			} else {
-				results, copied, err = pt.InvokeProxy(name, args)
-			}
-		} else {
-			results, copied, err = pt.InvokeProxy(name, args)
+	if apt, ok := pt.(AsyncProxyTarget); ok {
+		call := ProxyCall{Method: name, Args: args}
+		if k.tm != nil {
+			call.Trace = task.effectiveTrace()
 		}
+		results, copied, err = task.proxyWait.call(apt, call)
 	} else {
 		results, copied, err = pt.InvokeProxy(name, args)
 	}
@@ -154,4 +164,33 @@ func (c *Capability) invokeProxy(task *Task, caller *Domain, pt ProxyTarget, nam
 	// reply timing); the kernel only keeps the call-graph edge.
 	k.tm.edge(caller, g.owner).Inc()
 	return results, err
+}
+
+// proxyWait is a task's completer for its synchronous proxy calls. A task
+// is goroutine-affine and stays blocked until the completion fires, so
+// one completer per task serves every call it makes without a per-call
+// allocation.
+type proxyWait struct {
+	wg      sync.WaitGroup
+	results []any
+	copied  int64
+	err     error
+}
+
+// CompleteWire implements AsyncCompleter.
+func (w *proxyWait) CompleteWire(results []any, copied int64, err error) {
+	w.results, w.copied, w.err = results, copied, err
+	w.wg.Done()
+}
+
+// call starts one wire call and waits for its completion.
+//
+//jk:blocking
+func (w *proxyWait) call(apt AsyncProxyTarget, call ProxyCall) ([]any, int64, error) {
+	w.wg.Add(1)
+	apt.InvokeProxyAsync(call, w)
+	w.wg.Wait()
+	results, copied, err := w.results, w.copied, w.err
+	w.results, w.err = nil, nil
+	return results, copied, err
 }

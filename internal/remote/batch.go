@@ -2,9 +2,10 @@ package remote
 
 import "sync"
 
-// Wire-level batching: asynchronous invokes enqueue here instead of
-// writing their own frame, and a per-connection flusher goroutine drains
-// the queue into msgBatchInvoke frames. Flushing is "smart batching"
+// Wire-level batching: every invoke, sync or async, enqueues here instead
+// of writing its own frame, and a per-connection flusher goroutine drains
+// the queue into frames — a lone call as msgInvoke, several as
+// msgBatchInvoke. Flushing is "smart batching"
 // rather than timer-driven: whenever the flusher is idle it sends
 // whatever has queued immediately, so a lone call on an idle connection
 // pays no added latency, while calls arriving during a frame write pile
@@ -49,8 +50,8 @@ func (b batchedCall) wireSize() int {
 	return len(b.args) + len(b.method) + 64
 }
 
-// batcher coalesces pending asynchronous invokes — and capability
-// releases — for one connection.
+// batcher coalesces pending invokes — and capability releases — for one
+// connection.
 type batcher struct {
 	c *Conn
 

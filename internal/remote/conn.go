@@ -39,7 +39,7 @@ type Conn struct {
 
 	mu            sync.Mutex
 	nextReq       uint64
-	pending       map[uint64]wireCompleter // reqID -> completion (sync chan send or future resolve)
+	pending       map[uint64]wireCompleter // reqID -> completion (wire round trip or invoke)
 	exports       map[uint64]*exportEntry  // export id -> refcounted local capability
 	exportIDs     map[*core.Gate]uint64    // dedup: gate -> export id
 	nextExport    uint64
@@ -130,17 +130,7 @@ func NewConn(k *core.Kernel, nc net.Conn) (*Conn, error) {
 	return c, nil
 }
 
-// execJob is one inbound-call job. Batch invokes submit pointers into a
-// per-batch job array (one allocation per frame, not per call); one-off
-// jobs wrap a closure in funcJob.
-type execJob interface{ run() }
-
-// funcJob adapts a plain closure to execJob.
-type funcJob func()
-
-func (j funcJob) run() { j() }
-
-// executor runs inbound-call jobs on a bounded pool of persistent
+// executor runs inbound calls on a bounded pool of persistent
 // goroutines. Jobs never queue behind a blocked worker: submit hands the
 // job to an idle worker, grows the pool if there is room, and otherwise
 // falls back to a one-off goroutine — so a call that blocks (waiting on
@@ -148,7 +138,7 @@ func (j funcJob) run() { j() }
 // de-optimize it.
 type executor struct {
 	done    <-chan struct{}
-	jobs    chan execJob
+	jobs    chan *callJob
 	workers atomic.Int32
 	max     int32
 }
@@ -160,10 +150,10 @@ func newExecutor(done <-chan struct{}) *executor {
 	// grows to what the load sustains and no further (idle stacks shrink
 	// at GC). Smaller caps measurably re-introduce stack-growth churn on
 	// the overflow path.
-	return &executor{done: done, jobs: make(chan execJob), max: 512}
+	return &executor{done: done, jobs: make(chan *callJob), max: 512}
 }
 
-func (e *executor) submit(job execJob) {
+func (e *executor) submit(job *callJob) {
 	select {
 	case e.jobs <- job: // an idle pooled worker takes it
 		return
@@ -178,7 +168,7 @@ func (e *executor) submit(job execJob) {
 
 // worker runs its first job, then serves the pool until the connection
 // dies.
-func (e *executor) worker(job execJob) {
+func (e *executor) worker(job *callJob) {
 	job.run()
 	for {
 		select {
@@ -190,11 +180,11 @@ func (e *executor) worker(job execJob) {
 	}
 }
 
-// Flush forces every queued asynchronous invoke — and every queued
-// capability release — onto the wire before returning, including frames
-// the background flusher was mid-write on. The flusher already drains the
-// queues whenever it is idle, so Flush is only needed when the caller
-// wants a hard everything-is-sent point (end of a fan-out wave, say).
+// Flush forces every queued invoke — and every queued capability release
+// — onto the wire before returning, including frames the background
+// flusher was mid-write on. The flusher already drains the queues
+// whenever it is idle, so Flush is only needed when the caller wants a
+// hard everything-is-sent point (end of a fan-out wave, say).
 //
 //jk:blocking
 func (c *Conn) Flush() {
@@ -446,7 +436,8 @@ type wireCompleter interface {
 	completeWire(res wireResult)
 }
 
-// chanCompleter adapts the synchronous wait-on-channel flavor.
+// chanCompleter adapts the synchronous wait-on-channel flavor, for the
+// wire's own round trips.
 type chanCompleter chan wireResult
 
 func (ch chanCompleter) completeWire(res wireResult) { ch <- res }
@@ -990,29 +981,15 @@ func (c *Conn) fetchManifest(exportID uint64) ([]string, error) {
 	}
 }
 
-// marshalVector encodes an argument/result vector. The empty vector is
-// the empty payload: zero-arg calls and void results — the bulk of small
+// marshalVectorInto encodes an argument/result vector directly into fb —
+// after whatever frame header the caller already wrote — so the encoded
+// payload never exists as a separate allocation. The empty vector is the
+// empty payload: zero-arg calls and void results — the bulk of small
 // batched traffic — skip the serializer entirely on both ends. rollback
 // returns the wire references the encode counted; callers must run it
 // when the payload is abandoned before reaching the wire (it is a no-op
-// after a successful send, because the handles really did ship).
-func (c *Conn) marshalVector(vals []any) (data []byte, rollback func(), err error) {
-	if len(vals) == 0 {
-		return nil, func() {}, nil
-	}
-	ext := &connExternal{c: c}
-	data, err = seri.MarshalExt(c.k.SeriRegistry(), vals, ext)
-	if err != nil {
-		ext.rollback()
-		return nil, nil, err
-	}
-	return data, ext.rollback, nil
-}
-
-// marshalVectorInto encodes an argument/result vector directly into fb —
-// after whatever frame header the caller already wrote — so the encoded
-// payload never exists as a separate allocation. Same rollback contract as
-// marshalVector; on error fb is untouched.
+// after a successful send, because the handles really did ship). On
+// error fb is untouched.
 func (c *Conn) marshalVectorInto(fb *frameBuf, vals []any) (rollback func(), err error) {
 	if len(vals) == 0 {
 		return func() {}, nil
@@ -1027,7 +1004,7 @@ func (c *Conn) marshalVectorInto(fb *frameBuf, vals []any) (rollback func(), err
 	return ext.rollback, nil
 }
 
-// unmarshalVector decodes what marshalVector produced. A vector that
+// unmarshalVector decodes what marshalVectorInto produced. A vector that
 // fails mid-decode releases the proxies it already minted — the decode
 // side of the encode rollback, keeping both ends' tables honest when a
 // call's arguments or results turn out undecodable.
@@ -1045,97 +1022,40 @@ func (c *Conn) unmarshalVector(data []byte) ([]any, error) {
 	return vals, nil
 }
 
-// InvokeProxy performs one remote invocation: marshal args (capabilities
-// by reference), one request/reply round trip, unmarshal results.
+// InvokeProxy implements core.ProxyTarget. The kernel never calls it on a
+// wire proxy (it takes InvokeProxyAsync, the one entry point); it is
+// start-then-wait for callers holding a bare ProxyTarget.
+//
+//jk:blocking
 func (p *proxyTarget) InvokeProxy(method string, args []any) ([]any, int64, error) {
-	return p.invoke(method, args, telemetry.TraceContext{})
+	var w waitCompleter
+	w.wg.Add(1)
+	p.InvokeProxyAsync(core.ProxyCall{Method: method, Args: args}, &w)
+	w.wg.Wait()
+	return w.results, w.copied, w.err
 }
 
-// InvokeProxyTraced implements core.TracedProxyTarget: the caller's trace
-// context crosses the wire inside the invoke frame.
-func (p *proxyTarget) InvokeProxyTraced(method string, args []any, tc telemetry.TraceContext) ([]any, int64, error) {
-	return p.invoke(method, args, tc)
+// waitCompleter is InvokeProxy's core.AsyncCompleter.
+type waitCompleter struct {
+	wg      sync.WaitGroup
+	results []any
+	copied  int64
+	err     error
 }
 
-func (p *proxyTarget) invoke(method string, args []any, tc telemetry.TraceContext) ([]any, int64, error) {
-	c := p.conn
-	m := c.metrics
-	start := m.sampleStart(tc.Active())
-	var spanID uint64
-	if m != nil && tc.Active() {
-		spanID = telemetry.NewID() // this hop's span, the wire parent of the callee's
-	}
-	finish := func(results []any, copied int64, err error) ([]any, int64, error) {
-		m.clientSpan(tc, spanID, method, start, err)
-		return results, copied, err
-	}
-	reqID, ch, err := c.newPending()
-	if err != nil {
-		return finish(nil, 0, err)
-	}
-	// The whole frame — header and argument stream — builds in one pooled
-	// buffer, released the moment it is on the wire.
-	fb := getFrame(len(method) + 64)
-	w := wbuf{b: fb.b}
-	w.u8(msgInvoke)
-	w.uvarint(reqID)
-	w.uvarint(p.exportID)
-	w.str(method)
-	appendTrace(&w, tc.TraceID, spanID)
-	fb.b = w.b
-	argStart := len(fb.b)
-	rollback, err := c.marshalVectorInto(fb, args)
-	if err != nil {
-		c.dropPending(reqID)
-		fb.release()
-		return finish(nil, 0, &core.CopyError{What: "remote arguments of " + method, Err: err})
-	}
-	argLen := int64(len(fb.b) - argStart)
-	// Oversized arguments are a copy failure on a healthy connection, not
-	// a revocation; reject before the frame writer does.
-	if len(fb.b) > maxFrame {
-		rollback()
-		c.dropPending(reqID)
-		fb.release()
-		return finish(nil, 0, &core.CopyError{
-			What: "remote arguments of " + method,
-			Err:  fmt.Errorf("%d bytes exceeds the %d-byte frame limit", argLen, maxFrame),
-		})
-	}
-	err = c.send(fb.b)
-	fb.release()
-	if err != nil {
-		c.dropPending(reqID)
-		// A failed write means the peer is gone: same capability fault as
-		// any other connection loss.
-		return finish(nil, 0, fmt.Errorf("%w: remote send %s: %v", core.ErrRevoked, method, err))
-	}
-	select {
-	case res := <-ch:
-		if n := p.next.Load(); n != nil && staleRouteErr(res.err) {
-			// The shortened route released this one mid-call; the call
-			// never ran. Reissue it on the direct route (which does its
-			// own span accounting).
-			return n.invoke(method, args, tc)
-		}
-		return finish(res.results, argLen+res.copied, res.err)
-	case <-c.done:
-		// A call interrupted by connection loss is a capability fault, the
-		// same as revocation, so callers need only one failure model.
-		return finish(nil, argLen, fmt.Errorf("%w: %v", core.ErrRevoked, c.closedErr()))
-	}
+func (w *waitCompleter) CompleteWire(results []any, copied int64, err error) {
+	w.results, w.copied, w.err = results, copied, err
+	w.wg.Done()
 }
 
-// pendingAsync is the per-call state of one batched asynchronous invoke.
+// pendingAsync is the per-call state of one wire invoke, sync or async.
 // It is both the connection's pending-slot completion (completeWire, fired
 // on the reader goroutine) and the caller's cancel handle
 // (core.AsyncCanceler), so starting a call allocates this one struct where
 // it used to allocate a completion closure plus a cancel closure.
 type pendingAsync struct {
 	p      *proxyTarget
-	method string
-	args   []any
-	tc     telemetry.TraceContext
+	call   core.ProxyCall
 	done   core.AsyncCompleter
 	spanID uint64
 	start  time.Time
@@ -1148,11 +1068,12 @@ func (pa *pendingAsync) completeWire(res wireResult) {
 	if n := p.next.Load(); n != nil && staleRouteErr(res.err) {
 		// Superseded relay route: the middleman dropped our export before
 		// this call reached it, so it never ran. Reissue on the shortened
-		// route; its completion fires exactly once.
-		n.invokeAsync(pa.method, pa.args, pa.tc, pa.done)
+		// route (through its flusher: this is the reader goroutine); its
+		// completion fires exactly once and does its own span accounting.
+		n.InvokeProxyAsync(pa.call, pa.done)
 		return
 	}
-	p.conn.metrics.clientSpan(pa.tc, pa.spanID, pa.method, pa.start, res.err)
+	p.conn.metrics.clientSpan(pa.call.Trace, pa.spanID, pa.call.Method, pa.start, res.err)
 	pa.done.CompleteWire(res.results, pa.argLen+res.copied, res.err)
 }
 
@@ -1166,24 +1087,17 @@ type noopCanceler struct{}
 
 func (noopCanceler) CancelAsync() {}
 
-// InvokeProxyAsync implements core.AsyncProxyTarget: marshal, enqueue on
-// the connection's batcher, and return. The completion fires on the
-// reader goroutine when the (possibly batched) reply arrives, or on the
-// shutdown path when the connection dies first — either way exactly once,
-// unless cancel removes the pending slot before that.
-func (p *proxyTarget) InvokeProxyAsync(method string, args []any, done core.AsyncCompleter) core.AsyncCanceler {
-	return p.invokeAsync(method, args, telemetry.TraceContext{}, done)
-}
-
-// InvokeProxyAsyncTraced implements core.TracedAsyncProxyTarget: the
-// caller's trace context crosses inside the (possibly batched) frame.
-func (p *proxyTarget) InvokeProxyAsyncTraced(method string, args []any, tc telemetry.TraceContext, done core.AsyncCompleter) core.AsyncCanceler {
-	return p.invokeAsync(method, args, tc, done)
-}
-
-func (p *proxyTarget) invokeAsync(method string, args []any, tc telemetry.TraceContext, done core.AsyncCompleter) core.AsyncCanceler {
+// InvokeProxyAsync implements core.AsyncProxyTarget: marshal, queue on the
+// connection's batcher for the flusher, and return. A sync call is this
+// plus a wait on done. A lone call leaves as an ordinary msgInvoke, calls
+// queued together as one msgBatchInvoke. The completion fires on the reader goroutine when the
+// reply arrives, or on the shutdown path when the connection dies first —
+// either way exactly once, unless cancel removes the pending slot before
+// that.
+func (p *proxyTarget) InvokeProxyAsync(call core.ProxyCall, done core.AsyncCompleter) core.AsyncCanceler {
 	c := p.conn
 	m := c.metrics
+	method, tc := call.Method, call.Trace
 	start := m.sampleStart(tc.Active())
 	var spanID uint64
 	if m != nil && tc.Active() {
@@ -1194,22 +1108,24 @@ func (p *proxyTarget) invokeAsync(method string, args []any, tc telemetry.TraceC
 		done.CompleteWire(nil, 0, err)
 		return noopCanceler{}
 	}
-	// Batched calls queue their encoded args until the flusher writes the
-	// frame, so each call's stream lives in its own pooled buffer that
-	// sendBatch releases after the vectored write. Zero-arg calls — the
-	// bulk of small batched traffic — take no buffer at all.
+	// Queued calls keep their encoded args until their frame is written,
+	// so each call's stream lives in its own pooled buffer that sendBatch
+	// releases after the vectored write. Zero-arg calls — the bulk of
+	// small batched traffic — take no buffer at all.
 	var argsBuf *frameBuf
 	var argBytes []byte
 	rollback := func() {}
-	if len(args) > 0 {
+	if len(call.Args) > 0 {
 		argsBuf = getFrame(64)
 		var err error
-		rollback, err = c.marshalVectorInto(argsBuf, args)
+		rollback, err = c.marshalVectorInto(argsBuf, call.Args)
 		if err != nil {
 			argsBuf.release()
 			return fail(&core.CopyError{What: "remote arguments of " + method, Err: err})
 		}
 		argBytes = argsBuf.b
+		// Oversized arguments are a copy failure on a healthy connection,
+		// not a revocation; reject before the frame writer does.
 		if len(argBytes)+len(method)+64 > maxFrame {
 			rollback()
 			// Read the length out before release: argBytes aliases the
@@ -1225,9 +1141,7 @@ func (p *proxyTarget) invokeAsync(method string, args []any, tc telemetry.TraceC
 	}
 	pa := &pendingAsync{
 		p:      p,
-		method: method,
-		args:   args,
-		tc:     tc,
+		call:   call,
 		done:   done,
 		spanID: spanID,
 		start:  start,
@@ -1235,8 +1149,8 @@ func (p *proxyTarget) invokeAsync(method string, args []any, tc telemetry.TraceC
 	}
 	c.mu.Lock()
 	if c.closed {
-		// The connection is already down: same capability fault the sync
-		// path reports.
+		// A call interrupted by connection loss is a capability fault, the
+		// same as revocation, so callers need only one failure model.
 		err := c.causeLocked()
 		c.mu.Unlock()
 		rollback()
@@ -1249,7 +1163,8 @@ func (p *proxyTarget) invokeAsync(method string, args []any, tc telemetry.TraceC
 	pa.reqID = c.nextReq
 	c.pending[pa.reqID] = pa
 	c.mu.Unlock()
-	c.batch.enqueue(batchedCall{reqID: pa.reqID, exportID: p.exportID, method: method, traceID: tc.TraceID, parentSpan: spanID, args: argBytes, argsBuf: argsBuf})
+	bc := batchedCall{reqID: pa.reqID, exportID: p.exportID, method: method, traceID: tc.TraceID, parentSpan: spanID, args: argBytes, argsBuf: argsBuf}
+	c.batch.enqueue(bc)
 	return pa
 }
 
@@ -1374,25 +1289,8 @@ func (c *Conn) dispatch(fb *frameBuf) error {
 		return err
 	}
 	switch t {
-	case msgInvoke:
-		// Handlers run off the reader so it keeps draining replies — a
-		// worker servicing a call can call back into us mid-request. The
-		// frame buffer rides along (f.args aliases it) until the handler
-		// has decoded the argument stream.
-		f := v.(invokeFrame)
-		fb.retain()
-		c.exec.submit(funcJob(func() { c.handleInvoke(f, fb.release) }))
-	case msgBatchInvoke:
-		calls := v.([]invokeFrame)
-		fb.retain()
-		var undecoded atomic.Int32
-		undecoded.Store(int32(len(calls)))
-		argsDone := func() {
-			if undecoded.Add(-1) == 0 {
-				fb.release()
-			}
-		}
-		go c.handleBatchInvoke(calls, argsDone)
+	case msgInvoke, msgBatchInvoke:
+		c.serveFrame(fb, t, v)
 	case msgReply:
 		c.complete(v.(replyFrame).reqID, c.wireResultOf(v.(replyFrame)))
 	case msgBatchReply:
@@ -1548,95 +1446,120 @@ func (c *Conn) serveInvoke(f invokeFrame, argsDone func()) replyFrame {
 	return replyFrame{reqID: f.reqID, status: statusOK, body: resFb.b, bodyBuf: resFb}
 }
 
-// handleInvoke services one single-invoke frame. argsDone is the frame
-// buffer hold passed through to serveInvoke.
-func (c *Conn) handleInvoke(f invokeFrame, argsDone func()) {
-	rep := c.serveInvoke(f, argsDone)
-	hb := getFrame(32)
-	w := wbuf{b: hb.b}
-	w.u8(msgReply)
-	w.uvarint(rep.reqID)
-	var err error
-	if rep.status == statusOK {
-		// Header and result stream go down as separate segments of one
-		// vectored write; the result buffer never gets copied into the
-		// frame.
-		w.u8(statusOK)
-		hb.b = w.b
-		err = c.sendSegments(hb.b, rep.body)
-	} else {
-		appendReplyBody(&w, rep, false)
-		hb.b = w.b
-		err = c.send(hb.b)
-	}
-	hb.release()
-	if rep.bodyBuf != nil {
-		rep.bodyBuf.release()
-	}
-	if err != nil && rep.status == statusOK {
-		// An unsendable success must still answer, or the caller hangs.
-		c.replyErr(rep.reqID, errKindProtocol, "", "send results: "+err.Error())
-	}
-}
-
-// batchRun is the shared state of one in-flight batch invoke, and
-// batchCallJob one call's slot in it.
+// batchRun is the shared state of one inbound invoke frame — a lone
+// msgInvoke or a msgBatchInvoke — and callJob one call's slot in it.
 type batchRun struct {
-	c        *Conn
-	calls    []invokeFrame
-	replies  []replyFrame
-	jobs     []batchCallJob
-	argsDone func()
-	wg       sync.WaitGroup
+	c       *Conn
+	batched bool      // a msgBatchInvoke frame: reply with msgBatchReply
+	fb      *frameBuf // the frame the calls' argument streams alias
+	calls   []invokeFrame
+	jobs    []callJob
+	// undecoded counts calls whose argument stream still aliases fb;
+	// unserved counts calls still running — the last one out replies.
+	undecoded, unserved atomic.Int32
+	// Inline storage for a lone call: a msgInvoke frame allocates the
+	// batchRun and nothing else.
+	one    [1]invokeFrame
+	oneJob [1]callJob
 }
 
-type batchCallJob struct {
-	b *batchRun
-	i int
+type callJob struct {
+	b   *batchRun
+	i   int
+	rep replyFrame
 }
 
-func (j *batchCallJob) run() {
-	defer j.b.wg.Done()
-	j.b.replies[j.i] = j.b.c.serveInvoke(j.b.calls[j.i], j.b.argsDone)
+func (j *callJob) run() {
+	b := j.b
+	j.rep = b.c.serveInvoke(b.calls[j.i], b.argsDone)
+	if b.unserved.Add(-1) == 0 {
+		b.reply()
+	}
 }
 
-// handleBatchInvoke services one multi-invoke frame: the calls run
-// concurrently (each is an independent invocation, exactly as if it had
-// arrived in its own frame) and the replies leave as one batch frame with
-// per-call status — one faulting call never poisons its batch.
-func (c *Conn) handleBatchInvoke(calls []invokeFrame, argsDone func()) {
-	// One batchRun and one job array per frame: submitting &b.jobs[i]
-	// converts a pointer to the execJob interface, so the per-call path
-	// allocates nothing (the old per-call closures were an allocation
-	// each, visible on the batched hot path).
-	b := &batchRun{c: c, calls: calls, replies: make([]replyFrame, len(calls)), argsDone: argsDone}
-	b.wg.Add(len(calls))
-	b.jobs = make([]batchCallJob, len(calls))
-	for i := range calls {
-		b.jobs[i] = batchCallJob{b: b, i: i}
+// argsDone drops one call's hold on the frame buffer.
+func (b *batchRun) argsDone() {
+	if b.undecoded.Add(-1) == 0 {
+		b.fb.release()
+	}
+}
+
+// serveFrame services one inbound invoke frame: every call runs on the
+// executor — off the reader, so it keeps draining replies while a worker
+// servicing a call calls back into us mid-request — and the calls of a
+// batch run concurrently, each an independent invocation exactly as if it
+// had arrived in its own frame. The call that finishes last writes the
+// replies, so no goroutine waits on the frame. The frame buffer rides
+// along (the calls' args alias it) until every argument stream is
+// decoded.
+func (c *Conn) serveFrame(fb *frameBuf, t byte, v any) {
+	b := &batchRun{c: c, batched: t == msgBatchInvoke, fb: fb}
+	if b.batched {
+		b.calls = v.([]invokeFrame)
+		b.jobs = make([]callJob, len(b.calls))
+	} else {
+		b.one[0] = v.(invokeFrame)
+		b.calls, b.jobs = b.one[:], b.oneJob[:]
+	}
+	b.undecoded.Store(int32(len(b.calls)))
+	b.unserved.Store(int32(len(b.calls)))
+	fb.retain()
+	for i := range b.jobs {
+		b.jobs[i] = callJob{b: b, i: i}
 		c.exec.submit(&b.jobs[i])
 	}
-	b.wg.Wait()
-	replies := b.replies
+}
 
-	// Every pooled result buffer is released once its chunk is written
-	// (or abandoned on a dead connection).
+// reply writes the frame's replies: a msgReply for a lone call, chunked
+// msgBatchReply frames with per-call status for a batch — one faulting
+// call never poisons its batch. Every pooled result buffer is released
+// once its frame is written (or abandoned on a dead connection).
+func (b *batchRun) reply() {
+	c := b.c
 	defer func() {
-		for i := range replies {
-			if replies[i].bodyBuf != nil {
-				replies[i].bodyBuf.release()
+		for i := range b.jobs {
+			if buf := b.jobs[i].rep.bodyBuf; buf != nil {
+				buf.release()
 			}
 		}
 	}()
+	if !b.batched {
+		rep := b.jobs[0].rep
+		hb := getFrame(32)
+		w := wbuf{b: hb.b}
+		w.u8(msgReply)
+		w.uvarint(rep.reqID)
+		var err error
+		if rep.status == statusOK {
+			// Header and result stream go down as separate segments of
+			// one vectored write; the result buffer never gets copied into
+			// the frame.
+			w.u8(statusOK)
+			hb.b = w.b
+			err = c.sendSegments(hb.b, rep.body)
+		} else {
+			appendReplyBody(&w, rep, false)
+			hb.b = w.b
+			err = c.send(hb.b)
+		}
+		hb.release()
+		if err != nil && rep.status == statusOK {
+			// An unsendable success must still answer, or the caller hangs.
+			c.replyErr(rep.reqID, errKindProtocol, "", "send results: "+err.Error())
+		}
+		return
+	}
 
 	// Chunk the batch reply by size so large result sets cannot overflow
 	// one frame; each chunk is a valid msgBatchReply. Reply headers build
 	// in a pooled buffer and result streams ride as their own segments of
 	// the vectored write.
-	for start := 0; start < len(replies); {
+	jobs := b.jobs
+	for start := 0; start < len(jobs); {
 		end, size := start, 0
-		for end < len(replies) {
-			s := len(replies[end].body) + len(replies[end].class) + len(replies[end].msg) + 32
+		for end < len(jobs) {
+			rep := &jobs[end].rep
+			s := len(rep.body) + len(rep.class) + len(rep.msg) + 32
 			if end > start && size+s > maxBatchBytes {
 				break
 			}
@@ -1648,7 +1571,8 @@ func (c *Conn) handleBatchInvoke(calls []invokeFrame, argsDone func()) {
 		w.u8(msgBatchReply)
 		w.uvarint(uint64(end - start))
 		cuts := make([]int, end-start)
-		for i, rep := range replies[start:end] {
+		for i := range jobs[start:end] {
+			rep := &jobs[start+i].rep
 			w.uvarint(rep.reqID)
 			w.u8(rep.status)
 			if rep.status == statusOK {
@@ -1663,7 +1587,8 @@ func (c *Conn) handleBatchInvoke(calls []invokeFrame, argsDone func()) {
 		hb.b = w.b
 		segs := make([][]byte, 0, 2*(end-start))
 		prev := 0
-		for i, rep := range replies[start:end] {
+		for i := range jobs[start:end] {
+			rep := &jobs[start+i].rep
 			segs = append(segs, hb.b[prev:cuts[i]])
 			if rep.status == statusOK && len(rep.body) > 0 {
 				segs = append(segs, rep.body)

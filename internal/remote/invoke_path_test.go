@@ -1,0 +1,242 @@
+package remote
+
+import (
+	"path/filepath"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"jkernel/internal/core"
+)
+
+// frameCounts reads k's invoke/reply frame counters, by message name.
+func frameCounts(k *core.Kernel) map[string]int64 {
+	out := map[string]int64{}
+	for _, name := range []string{
+		"frames_out.invoke", "frames_out.batch_invoke", "frames_in.reply", "frames_in.batch_reply",
+		"frames_in.invoke", "frames_in.batch_invoke", "frames_out.reply", "frames_out.batch_reply",
+	} {
+		out[name] = k.Telemetry().Counter("remote." + name).Value()
+	}
+	return out
+}
+
+// frameDelta is frameCounts(k) minus before, keeping only what moved.
+func frameDelta(k *core.Kernel, before map[string]int64) map[string]int64 {
+	d := map[string]int64{}
+	for name, n := range frameCounts(k) {
+		if n != before[name] {
+			d[name] = n - before[name]
+		}
+	}
+	return d
+}
+
+// queued reports how many calls wait in b's queue.
+func queued(b *batcher) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.q)
+}
+
+func wantFrames(t *testing.T, what string, got, want map[string]int64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: frames %v, want %v", what, got, want)
+	}
+	for name, n := range want {
+		if got[name] != n {
+			t.Fatalf("%s: frames %v, want %v", what, got, want)
+		}
+	}
+}
+
+// Sync and async calls share one invoke path, and it must keep the wire
+// shapes: a lone sync call is one msgInvoke answered by one msgReply,
+// calls flushed together leave as one msgBatchInvoke answered by one
+// msgBatchReply, and a traced sync call still carries its trace block to
+// the serving kernel's span.
+func TestInvokeFrameShapes(t *testing.T) {
+	p := newPair(t)
+	p.export(t, "echo", echoSvc{})
+	proxy, err := p.conn.Import("echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cBefore, sBefore := frameCounts(p.client), frameCounts(p.server)
+	if res, err := proxy.InvokeFrom(p.task, "Echo", "lone"); err != nil || res[0] != any("lone") {
+		t.Fatalf("sync Echo: %#v %v", res, err)
+	}
+	wantFrames(t, "client, lone sync call", frameDelta(p.client, cBefore),
+		map[string]int64{"frames_out.invoke": 1, "frames_in.reply": 1})
+	wantFrames(t, "server, lone sync call", frameDelta(p.server, sBefore),
+		map[string]int64{"frames_in.invoke": 1, "frames_out.reply": 1})
+
+	// Park the flusher on the frame-write lock with one call in hand, so
+	// the next k calls all queue behind it and leave together: one lone
+	// frame, then one batch.
+	const k = 5
+	cBefore, sBefore = frameCounts(p.client), frameCounts(p.server)
+	p.conn.wmu.Lock()
+	futs := []*core.Future{proxy.InvokeAsyncFrom(p.task, "Sum", int64(0), int64(1))}
+	for deadline := time.Now().Add(5 * time.Second); queued(p.conn.batch) > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			p.conn.wmu.Unlock()
+			t.Fatal("flusher never took the first call")
+		}
+	}
+	for i := 1; i <= k; i++ {
+		futs = append(futs, proxy.InvokeAsyncFrom(p.task, "Sum", int64(i), int64(1)))
+	}
+	p.conn.wmu.Unlock()
+	p.conn.Flush()
+	for i, f := range futs {
+		if res, err := f.Wait(); err != nil || res[0] != any(int64(i+1)) {
+			t.Fatalf("async Sum %d: %#v %v", i, res, err)
+		}
+	}
+	wantFrames(t, "client, batched async calls", frameDelta(p.client, cBefore),
+		map[string]int64{"frames_out.invoke": 1, "frames_in.reply": 1, "frames_out.batch_invoke": 1, "frames_in.batch_reply": 1})
+	wantFrames(t, "server, batched async calls", frameDelta(p.server, sBefore),
+		map[string]int64{"frames_in.invoke": 1, "frames_out.reply": 1, "frames_in.batch_invoke": 1, "frames_out.batch_reply": 1})
+
+	tc := p.task.BeginTrace()
+	defer p.task.EndTrace()
+	cBefore = frameCounts(p.client)
+	if _, err := proxy.InvokeFrom(p.task, "Echo", "traced"); err != nil {
+		t.Fatal(err)
+	}
+	wantFrames(t, "client, traced sync call", frameDelta(p.client, cBefore),
+		map[string]int64{"frames_out.invoke": 1, "frames_in.reply": 1})
+	clientSpans := map[uint64]bool{}
+	for _, s := range p.client.Tracer().TraceSpans(tc.TraceID) {
+		if s.Kind == "client" {
+			clientSpans[s.SpanID] = true
+		}
+	}
+	var served bool
+	for _, s := range p.server.Tracer().TraceSpans(tc.TraceID) {
+		if s.Kind == "server" && clientSpans[s.Parent] {
+			served = true
+		}
+	}
+	if !served {
+		t.Fatal("traced sync call: no server span parented on the caller's client span")
+	}
+}
+
+// Mixed sync, batched and churn traffic on a loopback pair leaves no
+// goroutine behind once both ends close: read loops, flushers, executor
+// workers and frame handlers all exit with their connection.
+func TestConnGoroutinesExitOnClose(t *testing.T) {
+	server := core.MustNew(core.Options{})
+	client := core.MustNew(core.Options{})
+	sd, err := server.NewDomain(core.DomainConfig{Name: "svc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cd, err := client.NewDomain(core.DomainConfig{Name: "app"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, svc := range map[string]any{
+		"echo":  echoSvc{},
+		"maker": &makerSvc{k: server, d: sd},
+	} {
+		c, err := server.CreateNativeCapability(sd, svc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := server.Export(name, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := runtime.NumGoroutine()
+
+	sock := filepath.Join(t.TempDir(), "leak.sock")
+	ln, err := Listen(server, "unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := Dial(client, "unix", sock)
+	if err != nil {
+		ln.Close()
+		t.Fatal(err)
+	}
+	echo, err := conn.Import("echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	maker, err := conn.Import("maker")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 3)
+	run := func(body func(task *core.Task) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			task := client.NewDetachedTask(cd, "leak")
+			defer task.Close()
+			if err := body(task); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	run(func(task *core.Task) error { // sync
+		for i := 0; i < 200; i++ {
+			if _, err := echo.InvokeFrom(task, "Echo", "s"); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	run(func(task *core.Task) error { // batched
+		for w := 0; w < 20; w++ {
+			futs := make([]*core.Future, 0, 16)
+			for i := 0; i < 16; i++ {
+				futs = append(futs, echo.InvokeAsyncFrom(task, "Null"))
+			}
+			conn.Flush()
+			if err := core.WaitAll(futs...); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	run(func(task *core.Task) error { // churn
+		for i := 0; i < 100; i++ {
+			res, err := maker.InvokeFrom(task, "MakeCounter")
+			if err != nil {
+				return err
+			}
+			ctr := res[0].(*core.Capability)
+			if _, err := ctr.InvokeFrom(task, "Add", int64(1)); err != nil {
+				return err
+			}
+			ReleaseProxy(ctr)
+		}
+		return nil
+	})
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	conn.Close()
+	ln.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("goroutines: %d after close, %d at baseline\n%s", runtime.NumGoroutine(), base, buf[:n])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

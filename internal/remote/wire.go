@@ -140,24 +140,6 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// readFrame reads one length-prefixed frame into a fresh allocation
-// (handshake paths and tests; the connection read loop uses readFrameInto).
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("remote: frame of %d bytes exceeds limit", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 // readFrameInto reads one length-prefixed frame into a pooled frame
 // buffer. The caller (the read loop) owns the returned reference and
 // releases it when dispatch is done with the frame.
