@@ -956,6 +956,7 @@ func table9() {
 	check(err)
 	proxy, err := conn.Import("maker")
 	check(err)
+	mintBase := s2.CreatedCapabilities()
 
 	us := measureEach(iters(20000), func() {
 		res, err := proxy.InvokeFrom(task, "Make")
@@ -991,10 +992,24 @@ func table9() {
 	if conns := ln.Conns(); len(conns) == 1 {
 		serverLeak = leaked(conns[0], remote.TableSizes{Exports: 1, ExportIDs: 1, Unhook: 1})
 	}
+	// Gate leak: every minted capability was released, so once the GC
+	// runs the minting domain holds only the maker again.
+	var gateLeak float64
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		runtime.GC()
+		gateLeak = float64(s2.CreatedCapabilities() - mintBase)
+		if gateLeak == 0 || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
 	fmt.Printf("  %-52s %10.0f\n", "post-churn leaked table entries, client (want 0)", clientLeak)
 	fmt.Printf("  %-52s %10.0f\n", "post-churn leaked table entries, server (want 0)", serverLeak)
+	fmt.Printf("  %-52s %10.0f\n", "post-churn leaked gates, server (want 0)", gateLeak)
 	recordRatio(9, "post-churn leaked table entries (client)", clientLeak)
 	recordRatio(9, "post-churn leaked table entries (server)", serverLeak)
+	recordRatio(9, "post-churn leaked gates (server)", gateLeak)
 	conn.Close()
 	ln.Close()
 	fmt.Println()

@@ -25,10 +25,6 @@ type Gate struct {
 	natTarget atomic.Pointer[nativeTarget]
 	proxy     atomic.Pointer[proxyBox]
 
-	// createdAt is the gate's index in owner.created (owner.mu), so a
-	// revoked proxy gate leaves that list in O(1).
-	createdAt int
-
 	// failure, when set before revocation, is the error subsequent
 	// invokers receive instead of the bare ErrRevoked — e.g. "remote
 	// connection lost" for proxies whose transport died.
@@ -64,20 +60,17 @@ func (g *Gate) Revoked() bool {
 }
 
 // revoke severs the target pointers and fires the revocation observers
-// (exactly once, no matter how many paths revoke the gate).
-func (g *Gate) revoke() {
+// (exactly once, no matter how many paths revoke the gate). It reports
+// whether this call was the first revocation, so accounting counts each
+// gate once.
+func (g *Gate) revoke() bool {
 	g.vmTarget.Store(nil)
 	g.natTarget.Store(nil)
-	if g.proxy.Swap(nil) != nil {
-		// Proxy gates churn with the wire (one per import) and nothing
-		// looks them up by id, so a revoked one must not stay pinned in
-		// its owner's list for the owner's lifetime.
-		g.owner.dropGate(g)
-	}
+	g.proxy.Store(nil)
 	g.hookMu.Lock()
 	if g.hooksFired {
 		g.hookMu.Unlock()
-		return
+		return false
 	}
 	g.hooksFired = true
 	hooks := g.onRevoke
@@ -100,6 +93,7 @@ func (g *Gate) revoke() {
 		f.resolve(nil, g.revocationFault())
 		f = next
 	}
+	return true
 }
 
 // OnRevoke registers fn to run when the gate is revoked (directly, or by
@@ -208,8 +202,9 @@ func (c *Capability) Gate() *Gate { return c.g }
 // Revoke severs the capability. All subsequent uses fail with
 // ErrRevoked / jk.kernel.RevokedException.
 func (c *Capability) Revoke() {
-	c.g.revoke()
-	c.g.k.Meter.RevokeCount(c.g.owner.ID, 1)
+	if c.g.revoke() {
+		c.g.k.Meter.RevokeCount(c.g.owner.ID, 1)
+	}
 }
 
 // RevokeWithReason severs the capability, recording reason as the error
@@ -360,8 +355,9 @@ func (c *capOps) Revoke(env *vmkit.Env, stub *vmkit.Object) *vmkit.Object {
 		return env.VM.Throwf(vmkit.ClassIllegalStateEx,
 			"only the creating domain may revoke (caller=%v owner=%v)", cur, g.owner)
 	}
-	g.revoke()
-	k.Meter.RevokeCount(g.owner.ID, 1)
+	if g.revoke() {
+		k.Meter.RevokeCount(g.owner.ID, 1)
+	}
 	return nil
 }
 

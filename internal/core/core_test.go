@@ -1,7 +1,10 @@
 package core
 
 import (
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -802,47 +805,115 @@ type nullProxy struct{}
 func (nullProxy) InvokeProxy(string, []any) ([]any, int64, error) { return nil, 0, nil }
 func (nullProxy) ProxyMethods() []string                          { return []string{"Null"} }
 
-// Proxy gates churn with the wire: after any number of create/revoke
-// cycles the kernel's gate table and the owner's created list are back to
-// baseline, and termination still revokes every live proxy.
-func TestRevokedProxyGatesAreFreed(t *testing.T) {
-	k := MustNew(Options{})
-	d, err := k.NewDomain(DomainConfig{Name: "conn"})
-	if err != nil {
-		t.Fatal(err)
+// Gates churn with the wire (a proxy per import) and with per-call
+// minting (a native capability per Make). Whether the churned capability
+// is revoked or simply dropped, its owner's created list returns to
+// baseline plus the capabilities still held once the GC has run, and only
+// VM gates, which stubs resolve by id, enter the kernel's gate table.
+// Termination still revokes every held survivor.
+func TestDroppedGatesAreFreed(t *testing.T) {
+	native := func(k *Kernel, d *Domain) (*Capability, error) {
+		return k.CreateNativeCapability(d, &calcService{})
 	}
-	gates := func() int {
-		n := 0
-		k.gates.Range(func(any, any) bool { n++; return true })
-		return n
+	proxy := func(k *Kernel, d *Domain) (*Capability, error) {
+		return k.CreateProxyCapability(d, nullProxy{})
 	}
-	baseGates, baseCreated := gates(), d.CreatedCapabilities()
-	var live []*Capability
-	for i := 0; i < 1000; i++ {
-		c, err := k.CreateProxyCapability(d, nullProxy{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i%100 == 0 {
-			live = append(live, c) // a few survive, in the middle of the list
-			continue
-		}
-		c.Revoke()
+	kinds := []struct {
+		name   string
+		mint   func(*Kernel, *Domain) (*Capability, error)
+		revoke bool
+	}{
+		{"native dropped", native, false},
+		{"native revoked", native, true},
+		{"proxy revoked", proxy, true},
 	}
-	for _, c := range live[:5] {
-		c.Revoke()
+	for _, kind := range kinds {
+		t.Run(kind.name, func(t *testing.T) {
+			k, d, _, vmCap := newTwoDomains(t)
+			gates := func() int {
+				n := 0
+				k.gates.Range(func(any, any) bool { n++; return true })
+				return n
+			}
+			baseGates, baseCreated := gates(), d.CreatedCapabilities()
+
+			// Churn from several goroutines, each also sweeping, in frames
+			// that return before the GC runs, so no dropped capability
+			// stays live on a stack; every 100th capability is held.
+			const workers, cycles = 4, 250
+			held := make([][]*Capability, workers)
+			minted := make([][]int64, workers)
+			var wg sync.WaitGroup
+			for w := range workers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := range cycles {
+						c, err := kind.mint(k, d)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						minted[w] = append(minted[w], c.Gate().ID())
+						if i%100 == 0 {
+							held[w] = append(held[w], c)
+						} else if kind.revoke {
+							c.Revoke()
+						}
+						if i%50 == 0 {
+							d.CreatedCapabilities()
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			live := slices.Concat(held...)
+			runtime.GC()
+
+			if n := d.CreatedCapabilities(); n != baseCreated+len(live) {
+				t.Fatalf("after churn: created %d, want %d", n, baseCreated+len(live))
+			}
+			if g := gates(); g != baseGates {
+				t.Fatalf("after churn: %d gates in the table, want %d", g, baseGates)
+			}
+			churned := map[int64]bool{}
+			for _, ids := range minted {
+				for _, id := range ids {
+					churned[id] = true
+				}
+			}
+			k.gates.Range(func(id, _ any) bool {
+				if churned[id.(int64)] {
+					t.Errorf("gate %d (%s) is in the kernel gate table", id, kind.name)
+				}
+				return true
+			})
+			if c, err := k.CapabilityFromStub(vmCap.Stub); err != nil || c.Gate() != vmCap.Gate() {
+				t.Fatalf("VM stub minted before the churn no longer resolves: %v", err)
+			}
+
+			d.Terminate("done")
+			for i, c := range live {
+				if !c.Revoked() {
+					t.Fatalf("termination left held capability %d live", i)
+				}
+			}
+			if n := d.CreatedCapabilities(); n != 0 {
+				t.Fatalf("after termination: created %d, want 0", n)
+			}
+		})
 	}
-	live = live[5:]
-	if g, n := gates(), d.CreatedCapabilities(); g != baseGates || n != baseCreated+len(live) {
-		t.Fatalf("after churn: gates %d (base %d), created %d (want %d)", g, baseGates, n, baseCreated+len(live))
-	}
-	d.Terminate("done")
-	for _, c := range live {
-		if !c.Revoked() {
-			t.Fatal("termination left a live proxy")
-		}
-	}
-	if n := d.CreatedCapabilities(); n != baseCreated {
-		t.Fatalf("after termination: created %d, want %d", n, baseCreated)
+}
+
+// Revoking a capability twice and then terminating its owner counts one
+// revocation: only the call that severs the gate is charged.
+func TestRevocationCountedOnce(t *testing.T) {
+	_, d1, _, cap, _ := newNativePair(t)
+	base := d1.Stats().Revoked
+	cap.Revoke()
+	cap.Revoke()
+	d1.Terminate("bye")
+	if n := d1.Stats().Revoked - base; n != 1 {
+		t.Fatalf("Stats.Revoked rose by %d, want 1", n)
 	}
 }

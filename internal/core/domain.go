@@ -5,6 +5,7 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	"jkernel/internal/threads"
 	"jkernel/internal/vmkit"
@@ -38,8 +39,13 @@ type Domain struct {
 
 	terminated atomic.Bool
 
-	mu      sync.Mutex
-	created []*Gate
+	mu sync.Mutex
+	// created lists the gates this domain minted, weakly: a gate that
+	// every holder dropped is collected instead of pinned here until the
+	// domain ends. addGate sweeps collected and revoked entries out once
+	// the list reaches sweepAt.
+	created []weak.Pointer[Gate]
+	sweepAt int
 	segs    map[int64]*threads.Seg
 }
 
@@ -118,62 +124,72 @@ func (k *Kernel) NewDomain(cfg DomainConfig) (*Domain, error) {
 // Terminated reports whether the domain has been terminated.
 func (d *Domain) Terminated() bool { return d.terminated.Load() }
 
-// Terminate ends the domain: every capability it created is revoked (so
-// its memory may be freed and failures propagate to clients as
-// RevokedException), its running segments are stopped, new LRMI in or out
-// is refused, and its account freezes. This is the paper's "clean
-// semantics of domain termination".
+// Terminate ends the domain: every capability it created that is still
+// reachable is revoked (so its memory may be freed and failures propagate
+// to clients as RevokedException), its running segments are stopped, new
+// LRMI in or out is refused, and its account freezes. This is the paper's
+// "clean semantics of domain termination". A capability that every holder
+// already dropped was collected unrevoked: nobody is left to observe it.
 func (d *Domain) Terminate(reason string) {
 	if !d.terminated.CompareAndSwap(false, true) {
 		return
 	}
 	d.mu.Lock()
-	gates := append([]*Gate(nil), d.created...)
+	gates := d.created
+	d.created = nil
 	segs := make([]*threads.Seg, 0, len(d.segs))
 	for _, s := range d.segs {
 		segs = append(segs, s)
 	}
 	d.mu.Unlock()
 
-	for _, g := range gates {
-		g.revoke()
+	var revoked int64
+	for _, wp := range gates {
+		if g := wp.Value(); g != nil && g.revoke() {
+			revoked++
+		}
 	}
-	d.K.Meter.RevokeCount(d.ID, int64(len(gates)))
+	d.K.Meter.RevokeCount(d.ID, revoked)
 	for _, s := range segs {
 		s.Stop(terminationStopMsg + ": " + reason)
 	}
 	d.K.Meter.Freeze(d.ID)
 }
 
-// addGate records a gate created by this domain (revoked on termination).
+// addGate records a gate created by this domain (revoked on termination
+// if still reachable then).
 func (d *Domain) addGate(g *Gate) {
+	wp := weak.Make(g)
 	d.mu.Lock()
-	g.createdAt = len(d.created)
-	d.created = append(d.created, g)
+	d.created = append(d.created, wp)
+	if len(d.created) >= d.sweepAt {
+		d.sweepGates()
+	}
 	d.mu.Unlock()
 }
 
-// dropGate removes a revoked gate from the domain's list (swap-remove:
-// termination revokes the list in no particular order).
-func (d *Domain) dropGate(g *Gate) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	i := g.createdAt
-	if i >= len(d.created) || d.created[i] != g {
-		return
+// sweepGates drops the entries whose gate was collected or revoked, and
+// sets the next sweep at twice the live count (at least 64), so sweeping
+// costs amortized O(1) per gate (d.mu held).
+func (d *Domain) sweepGates() {
+	live := d.created[:0]
+	for _, wp := range d.created {
+		if g := wp.Value(); g != nil && !g.Revoked() {
+			live = append(live, wp)
+		}
 	}
-	last := len(d.created) - 1
-	d.created[i] = d.created[last]
-	d.created[i].createdAt = i
-	d.created[last] = nil
-	d.created = d.created[:last]
+	clear(d.created[len(live):])
+	d.created = live
+	d.sweepAt = max(2*len(live), 64)
 }
 
-// CreatedCapabilities returns how many capabilities the domain created,
-// less the proxy capabilities already revoked.
+// CreatedCapabilities returns how many capabilities the domain created
+// that are neither revoked nor collected. A dropped capability counts
+// until a garbage collection reclaims its gate.
 func (d *Domain) CreatedCapabilities() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.sweepGates()
 	return len(d.created)
 }
 

@@ -12,7 +12,8 @@
 //     makes the target collectable no matter who still holds the stub.
 //   - Protection domains (Domain) own a class namespace governed by a
 //     resolver, a set of thread segments, an account, and every capability
-//     they created. Termination revokes all of them.
+//     they created. Termination revokes every one still reachable; one
+//     that every holder dropped is collected unrevoked.
 //   - Cross-domain calls copy non-capability arguments (serialization by
 //     default, fast-copy for classes that opt in) and pass capabilities by
 //     reference, switching thread segments rather than threads.
@@ -63,7 +64,6 @@ type Kernel struct {
 	domains   sync.Map // int64 -> *Domain
 	byName    sync.Map // string -> *Domain
 	nextDom   atomic.Int64
-	gates     sync.Map // int64 -> *Gate
 	nextGate  atomic.Int64
 	segs      sync.Map // int64 (seg id) -> *threads.Seg
 	tasks     sync.Map // *threads.Chain -> *Task
@@ -74,6 +74,13 @@ type Kernel struct {
 	copier    *fastcopy.Copier
 	graphCop  *fastcopy.Copier
 	exports   sync.Map // string -> *Capability: names served to remote kernels
+
+	// gates holds VM gates only. A VM stub stores its gate's id, not the
+	// gate, and resolves the id here. Native and proxy capabilities never
+	// enter the VM (goToVMBoxed refuses them), so nothing looks their
+	// gates up by id, and leaving them out lets the GC collect a gate
+	// that every holder dropped.
+	gates sync.Map // int64 -> *Gate
 }
 
 // New creates a kernel, boots its VM, installs the kernel's native classes

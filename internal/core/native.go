@@ -147,7 +147,6 @@ func (k *Kernel) CreateNativeCapability(d *Domain, target any) (*Capability, err
 	}
 	g := &Gate{k: k, id: k.nextGate.Add(1), owner: d}
 	g.natTarget.Store(nt)
-	k.gates.Store(g.id, g)
 	d.addGate(g)
 	return &Capability{g: g}, nil
 }

@@ -85,8 +85,6 @@ func (k *Kernel) CreateProxyCapability(d *Domain, pt ProxyTarget) (*Capability, 
 	}
 	g := &Gate{k: k, id: k.nextGate.Add(1), owner: d}
 	g.proxy.Store(&proxyBox{t: pt})
-	// Not in k.gates: only VM stubs look gates up by id, and VM domains
-	// cannot hold proxies.
 	d.addGate(g)
 	return &Capability{g: g}, nil
 }

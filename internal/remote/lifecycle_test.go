@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -394,7 +395,8 @@ func TestChurnTablesReturnToBaseline(t *testing.T) {
 		cycles = 1000
 	}
 	p := newPair(t)
-	p.export(t, "maker", &churnMaker{k: p.server, d: p.serverDom})
+	mk := &churnMaker{k: p.server, d: p.serverDom}
+	p.export(t, "maker", mk)
 	p.export(t, "taker", takerSvc{})
 	sc := serverConn(t, p.ln)
 
@@ -412,6 +414,7 @@ func TestChurnTablesReturnToBaseline(t *testing.T) {
 	clientBase := TableSizes{Imports: 2}
 	waitTables(t, "server pre-churn", sc, serverBase)
 	waitTables(t, "client pre-churn", p.conn, clientBase)
+	mintBase := p.serverDom.CreatedCapabilities()
 
 	for i := 0; i < cycles; i++ {
 		res, err := maker.InvokeFrom(p.task, "Make")
@@ -452,6 +455,25 @@ func TestChurnTablesReturnToBaseline(t *testing.T) {
 
 	waitTables(t, "server post-churn", sc, serverBase)
 	waitTables(t, "client post-churn", p.conn, clientBase)
+
+	// Every capability Make minted was released or revoked, so once the
+	// maker drops its last one the GC must reclaim them all: the minting
+	// domain's created list is back to its pre-churn size.
+	mk.mu.Lock()
+	mk.last = nil
+	mk.mu.Unlock()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		runtime.GC()
+		n := p.serverDom.CreatedCapabilities()
+		if n == mintBase {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server domain holds %d created capabilities after churn, want %d", n, mintBase)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 
 	// The telemetry gauges must agree with the drained tables: per-conn
 	// table gauges back at their pre-churn values, nothing pending, and no
