@@ -811,97 +811,94 @@ func (nullProxy) ProxyMethods() []string                          { return []str
 // baseline plus the capabilities still held once the GC has run, and only
 // VM gates, which stubs resolve by id, enter the kernel's gate table.
 // Termination still revokes every held survivor.
-func TestDroppedGatesAreFreed(t *testing.T) {
+func TestRevokedProxyGatesAreFreed(t *testing.T) {
+	checkGatesFreed(t, func(k *Kernel, d *Domain) (*Capability, error) {
+		return k.CreateProxyCapability(d, nullProxy{})
+	}, true)
+}
+
+func TestNativeGatesAreFreed(t *testing.T) {
 	native := func(k *Kernel, d *Domain) (*Capability, error) {
 		return k.CreateNativeCapability(d, &calcService{})
 	}
-	proxy := func(k *Kernel, d *Domain) (*Capability, error) {
-		return k.CreateProxyCapability(d, nullProxy{})
+	t.Run("dropped", func(t *testing.T) { checkGatesFreed(t, native, false) })
+	t.Run("revoked", func(t *testing.T) { checkGatesFreed(t, native, true) })
+}
+
+// checkGatesFreed churns capabilities made by mint, revoking each unless
+// revoke is false, and checks the kernel and the owner forget them.
+func checkGatesFreed(t *testing.T, mint func(*Kernel, *Domain) (*Capability, error), revoke bool) {
+	k, d, _, vmCap := newTwoDomains(t)
+	gates := func() int {
+		n := 0
+		k.gates.Range(func(any, any) bool { n++; return true })
+		return n
 	}
-	kinds := []struct {
-		name   string
-		mint   func(*Kernel, *Domain) (*Capability, error)
-		revoke bool
-	}{
-		{"native dropped", native, false},
-		{"native revoked", native, true},
-		{"proxy revoked", proxy, true},
+	baseGates, baseCreated := gates(), d.CreatedCapabilities()
+
+	// Churn from several goroutines, each also sweeping, in frames
+	// that return before the GC runs, so no dropped capability
+	// stays live on a stack; every 100th capability is held.
+	const workers, cycles = 4, 250
+	held := make([][]*Capability, workers)
+	minted := make([][]int64, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range cycles {
+				c, err := mint(k, d)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				minted[w] = append(minted[w], c.Gate().ID())
+				if i%100 == 0 {
+					held[w] = append(held[w], c)
+				} else if revoke {
+					c.Revoke()
+				}
+				if i%50 == 0 {
+					d.CreatedCapabilities()
+				}
+			}
+		}()
 	}
-	for _, kind := range kinds {
-		t.Run(kind.name, func(t *testing.T) {
-			k, d, _, vmCap := newTwoDomains(t)
-			gates := func() int {
-				n := 0
-				k.gates.Range(func(any, any) bool { n++; return true })
-				return n
-			}
-			baseGates, baseCreated := gates(), d.CreatedCapabilities()
+	wg.Wait()
+	live := slices.Concat(held...)
+	runtime.GC()
 
-			// Churn from several goroutines, each also sweeping, in frames
-			// that return before the GC runs, so no dropped capability
-			// stays live on a stack; every 100th capability is held.
-			const workers, cycles = 4, 250
-			held := make([][]*Capability, workers)
-			minted := make([][]int64, workers)
-			var wg sync.WaitGroup
-			for w := range workers {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := range cycles {
-						c, err := kind.mint(k, d)
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						minted[w] = append(minted[w], c.Gate().ID())
-						if i%100 == 0 {
-							held[w] = append(held[w], c)
-						} else if kind.revoke {
-							c.Revoke()
-						}
-						if i%50 == 0 {
-							d.CreatedCapabilities()
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			live := slices.Concat(held...)
-			runtime.GC()
+	if n := d.CreatedCapabilities(); n != baseCreated+len(live) {
+		t.Fatalf("after churn: created %d, want %d", n, baseCreated+len(live))
+	}
+	if g := gates(); g != baseGates {
+		t.Fatalf("after churn: %d gates in the table, want %d", g, baseGates)
+	}
+	churned := map[int64]bool{}
+	for _, ids := range minted {
+		for _, id := range ids {
+			churned[id] = true
+		}
+	}
+	k.gates.Range(func(id, _ any) bool {
+		if churned[id.(int64)] {
+			t.Errorf("gate %d is in the kernel gate table", id)
+		}
+		return true
+	})
+	if c, err := k.CapabilityFromStub(vmCap.Stub); err != nil || c.Gate() != vmCap.Gate() {
+		t.Fatalf("VM stub minted before the churn no longer resolves: %v", err)
+	}
 
-			if n := d.CreatedCapabilities(); n != baseCreated+len(live) {
-				t.Fatalf("after churn: created %d, want %d", n, baseCreated+len(live))
-			}
-			if g := gates(); g != baseGates {
-				t.Fatalf("after churn: %d gates in the table, want %d", g, baseGates)
-			}
-			churned := map[int64]bool{}
-			for _, ids := range minted {
-				for _, id := range ids {
-					churned[id] = true
-				}
-			}
-			k.gates.Range(func(id, _ any) bool {
-				if churned[id.(int64)] {
-					t.Errorf("gate %d (%s) is in the kernel gate table", id, kind.name)
-				}
-				return true
-			})
-			if c, err := k.CapabilityFromStub(vmCap.Stub); err != nil || c.Gate() != vmCap.Gate() {
-				t.Fatalf("VM stub minted before the churn no longer resolves: %v", err)
-			}
-
-			d.Terminate("done")
-			for i, c := range live {
-				if !c.Revoked() {
-					t.Fatalf("termination left held capability %d live", i)
-				}
-			}
-			if n := d.CreatedCapabilities(); n != 0 {
-				t.Fatalf("after termination: created %d, want 0", n)
-			}
-		})
+	d.Terminate("done")
+	for i, c := range live {
+		if !c.Revoked() {
+			t.Fatalf("termination left held capability %d live", i)
+		}
+	}
+	if n := d.CreatedCapabilities(); n != 0 {
+		t.Fatalf("after termination: created %d, want 0", n)
 	}
 }
 
