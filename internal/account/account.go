@@ -49,7 +49,7 @@ type Stats struct {
 	CopyBytes  int64 // LRMI argument/result copying
 	ClassBytes int64 // class metadata
 	CrossCalls int64 // LRMI invocations initiated
-	Revoked    int64 // capabilities revoked by/for this domain
+	Revoked    int64 // capabilities revoked by/for this domain, each once; none collected unrevoked
 }
 
 // Total returns the byte-denominated charges (steps and calls excluded).

@@ -810,7 +810,8 @@ func (nullProxy) ProxyMethods() []string                          { return []str
 // is revoked or simply dropped, its owner's created list returns to
 // baseline plus the capabilities still held once the GC has run, and only
 // VM gates, which stubs resolve by id, enter the kernel's gate table.
-// Termination still revokes every held survivor.
+// Revoking a held capability, VM gates included, takes it out of the
+// count at once. Termination still revokes every held survivor.
 func TestRevokedProxyGatesAreFreed(t *testing.T) {
 	checkGatesFreed(t, func(k *Kernel, d *Domain) (*Capability, error) {
 		return k.CreateProxyCapability(d, nullProxy{})
@@ -833,6 +834,16 @@ func checkGatesFreed(t *testing.T, mint func(*Kernel, *Domain) (*Capability, err
 		n := 0
 		k.gates.Range(func(any, any) bool { n++; return true })
 		return n
+	}
+	// A second VM capability, revoked while held after the churn: the
+	// kernel's gate table keeps it, but the created count must drop it.
+	vmTarget, err := d.NewInstance("ReadFileImpl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vmRevoked, err := k.CreateVMCapability(d, vmTarget)
+	if err != nil {
+		t.Fatal(err)
 	}
 	baseGates, baseCreated := gates(), d.CreatedCapabilities()
 
@@ -872,6 +883,18 @@ func checkGatesFreed(t *testing.T, mint func(*Kernel, *Domain) (*Capability, err
 	if n := d.CreatedCapabilities(); n != baseCreated+len(live) {
 		t.Fatalf("after churn: created %d, want %d", n, baseCreated+len(live))
 	}
+	// Revoked capabilities still held stay reachable, so only the
+	// revoked check in the sweep keeps them out of the count.
+	revokedHeld, live := live[:len(live)/2], live[len(live)/2:]
+	for _, c := range revokedHeld {
+		c.Revoke()
+	}
+	vmRevoked.Revoke()
+	if n, want := d.CreatedCapabilities(), baseCreated-1+len(live); n != want {
+		t.Fatalf("after revoking held capabilities: created %d, want %d", n, want)
+	}
+	runtime.KeepAlive(revokedHeld)
+	runtime.KeepAlive(vmRevoked)
 	if g := gates(); g != baseGates {
 		t.Fatalf("after churn: %d gates in the table, want %d", g, baseGates)
 	}

@@ -130,6 +130,9 @@ func (d *Domain) Terminated() bool { return d.terminated.Load() }
 // LRMI in or out is refused, and its account freezes. This is the paper's
 // "clean semantics of domain termination". A capability that every holder
 // already dropped was collected unrevoked: nobody is left to observe it.
+// Stats.Revoked counts only gates this call or an earlier Revoke severed,
+// so a collected capability adds nothing, and how many dropped ones a
+// termination counts depends on whether a GC ran before it.
 func (d *Domain) Terminate(reason string) {
 	if !d.terminated.CompareAndSwap(false, true) {
 		return
