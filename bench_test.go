@@ -1,22 +1,50 @@
 // Benchmarks regenerating every table of the paper's evaluation.
 // Run: go test -bench=. -benchmem .    (or cmd/jkbench for paper-format
-// output). EXPERIMENTS.md records paper-vs-measured for each row.
+// output). README explains what each table measures. The fixtures and
+// timed bodies live in internal/benchfix, shared with cmd/jkbench.
 package jkernel
 
 import (
+	"fmt"
 	"net/http/httptest"
-	"path/filepath"
-	"runtime"
+	"os"
 	"testing"
 
+	"jkernel/internal/benchfix"
 	"jkernel/internal/core"
 	"jkernel/internal/fastcopy"
+	"jkernel/internal/httpd"
 	"jkernel/internal/oskit"
-	"jkernel/internal/remote"
 	"jkernel/internal/seri"
+	"jkernel/internal/threads"
 	"jkernel/internal/ukern"
 	"jkernel/internal/vmkit"
 )
+
+// TestMain lets the oskit cross-process RPC servers re-execute this test
+// binary as their child.
+func TestMain(m *testing.M) {
+	oskit.MaybeRunChild()
+	os.Exit(m.Run())
+}
+
+// runBody times body over b.N iterations, from a fresh timer.
+func runBody(b *testing.B, body benchfix.Body) {
+	b.ResetTimer()
+	if err := body(b.N); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// newVM builds the VM fixture under profile, closed when b ends.
+func newVM(b *testing.B, profile vmkit.Profile) *benchfix.VM {
+	f, err := benchfix.NewVM(profile)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(f.Close)
+	return f
+}
 
 // --- Table 1: cost of null method invocations ----------------------------
 // Paper rows (µs on MS-VM / Sun-VM): regular 0.04/0.03, interface
@@ -24,8 +52,7 @@ import (
 // 2.22/5.41. Profile A models MS-VM's cost shape, profile B Sun-VM's.
 
 func benchTable1(b *testing.B, profile vmkit.Profile) {
-	f := newVMBench(b, profile)
-	defer f.close()
+	f := newVM(b, profile)
 	rows := []struct {
 		name, method string
 	}{
@@ -38,17 +65,12 @@ func benchTable1(b *testing.B, profile vmkit.Profile) {
 	for _, row := range rows {
 		b.Run(row.name, func(b *testing.B) {
 			b.ReportAllocs()
-			f.run(b, row.method, b.N)
+			runBody(b, f.Loop(row.method))
 		})
 	}
 	b.Run("ThreadInfoLookup", func(b *testing.B) {
-		id := f.task.Thread.ID
 		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if f.k.VM.LookupThread(id) == nil {
-				b.Fatal("lookup failed")
-			}
-		}
+		runBody(b, f.ThreadLookup())
 	})
 }
 
@@ -100,10 +122,7 @@ func BenchmarkTable2_COMInProc(b *testing.B) {
 }
 
 func BenchmarkTable2_JKernelLRMI(b *testing.B) {
-	f := newVMBench(b, vmkit.ProfileA)
-	defer f.close()
-	b.ResetTimer()
-	f.run(b, "runLRMI", b.N)
+	runBody(b, newVM(b, vmkit.ProfileA).Loop("runLRMI"))
 }
 
 // --- Table 3: double thread switch ----------------------------------------
@@ -111,39 +130,8 @@ func BenchmarkTable2_JKernelLRMI(b *testing.B) {
 // threads onto kernel threads, so the faithful row pins goroutines to OS
 // threads; the unpinned row is the Go-native ablation.
 
-func pingPong(b *testing.B, pin bool) {
-	ping := make(chan struct{})
-	pong := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		if pin {
-			runtime.LockOSThread()
-			defer runtime.UnlockOSThread()
-		}
-		for {
-			select {
-			case <-ping:
-				pong <- struct{}{}
-			case <-done:
-				return
-			}
-		}
-	}()
-	if pin {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ping <- struct{}{}
-		<-pong
-	}
-	b.StopTimer()
-	close(done)
-}
-
-func BenchmarkTable3_NTBase_OSThreads(b *testing.B)    { pingPong(b, true) }
-func BenchmarkTable3_Goroutines_Unpinned(b *testing.B) { pingPong(b, false) }
+func BenchmarkTable3_NTBase_OSThreads(b *testing.B)    { runBody(b, benchfix.PingPong(true)) }
+func BenchmarkTable3_Goroutines_Unpinned(b *testing.B) { runBody(b, benchfix.PingPong(false)) }
 
 // --- Table 4: argument copying --------------------------------------------
 // Paper (µs, MS-VM serialization/fast-copy): 1x10B 104/4.8, 1x100B
@@ -161,30 +149,21 @@ var table4Shapes = []struct {
 }
 
 func benchTable4(b *testing.B, profile vmkit.Profile) {
-	f := newVMBench(b, profile)
-	defer f.close()
+	f := newVM(b, profile)
 	for _, shape := range table4Shapes {
-		shape := shape
-		b.Run("Serialization/"+shape.name, func(b *testing.B) {
-			msg := f.buildChain(b, "MsgS", shape.count, shape.size)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := f.cap.InvokeVM(f.task, "sink", msg); err != nil {
+		for _, eng := range []struct {
+			name string
+			fast bool
+		}{{"Serialization", false}, {"FastCopy", true}} {
+			b.Run(eng.name+"/"+shape.name, func(b *testing.B) {
+				body, err := f.ArgCopy(eng.fast, shape.count, shape.size)
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-		b.Run("FastCopy/"+shape.name, func(b *testing.B) {
-			msg := f.buildChain(b, "MsgF", shape.count, shape.size)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := f.cap.InvokeVM(f.task, "sinkF", msg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+				b.ReportAllocs()
+				runBody(b, body)
+			})
+		}
 	}
 }
 
@@ -239,10 +218,30 @@ func BenchmarkTable4_NativeEngines(b *testing.B) {
 
 var table5Sizes = []int{10, 100, 1000}
 
+// newWeb builds the Table 5 fixture around a size-byte document.
+func newWeb(b *testing.B, size int) *benchfix.Web {
+	w, err := benchfix.NewWeb(size)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return w
+}
+
+func sizeName(size int) string { return fmt.Sprintf("%dB", size) }
+
+// reportPagesPerSec converts the measured ns/op into the paper's
+// pages/second metric.
+func reportPagesPerSec(b *testing.B) {
+	b.StopTimer()
+	if e := b.Elapsed(); e > 0 && b.N > 0 {
+		b.ReportMetric(float64(b.N)/e.Seconds(), "pages/s")
+	}
+	b.StartTimer()
+}
+
 func BenchmarkTable5_IIS_Static(b *testing.B) {
 	for _, size := range table5Sizes {
-		f := newTable5(b, size)
-		h := httpStaticHandler(f, size)
+		h := httpd.StaticHandler(newWeb(b, size).Doc)
 		b.Run(sizeName(size), func(b *testing.B) {
 			req := httptest.NewRequest("GET", "/index.html", nil)
 			b.ReportAllocs()
@@ -260,13 +259,13 @@ func BenchmarkTable5_IIS_Static(b *testing.B) {
 
 func BenchmarkTable5_IISJKernel_Bridge(b *testing.B) {
 	for _, size := range table5Sizes {
-		f := newTable5(b, size)
+		bridge := newWeb(b, size).Bridge
 		b.Run(sizeName(size), func(b *testing.B) {
 			req := httptest.NewRequest("GET", "/index.html", nil)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				rec := httptest.NewRecorder()
-				f.bridge.ServeHTTP(rec, req)
+				bridge.ServeHTTP(rec, req)
 				if rec.Code != 200 {
 					b.Fatalf("bad status %d: %s", rec.Code, rec.Body.String())
 				}
@@ -278,13 +277,13 @@ func BenchmarkTable5_IISJKernel_Bridge(b *testing.B) {
 
 func BenchmarkTable5_JWS_Interpreted(b *testing.B) {
 	for _, size := range table5Sizes {
-		f := newTable5(b, size)
-		task := f.k.NewTask(f.jws.Domain, "bench")
+		jws := newWeb(b, size).JWS
+		task := jws.K.NewTask(jws.Domain, "bench")
 		raw := []byte("GET /index.html HTTP/1.0\r\n\r\n")
 		b.Run(sizeName(size), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := f.jws.HandleWith(task, raw); err != nil {
+				if _, err := jws.HandleWith(task, raw); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -334,29 +333,29 @@ func BenchmarkTable6_Eros_RoundTripIPC(b *testing.B) {
 }
 
 func BenchmarkTable6_JKernel_3ArgInvocation(b *testing.B) {
-	f := newVMBench(b, vmkit.ProfileA)
-	defer f.close()
-	b.ResetTimer()
-	f.run(b, "runLRMI3", b.N)
+	runBody(b, newVM(b, vmkit.ProfileA).Loop("runLRMI3"))
 }
 
 // --- Ablations beyond the paper's tables -----------------------------------
 
-// Native-path LRMI vs the share-anything baseline: the cost of the
-// J-Kernel's structure on the Go path.
-type nullSvc struct{}
-
-func (nullSvc) Null() error { return nil }
-
-func BenchmarkAblation_NativeLRMI_Null(b *testing.B) {
+// localNull is a native null capability in a server domain, and a task
+// entered on the calling goroutine in a client domain of the same kernel.
+// The caller must close the task on that goroutine.
+func localNull(b *testing.B) (*core.Capability, *core.Task) {
 	k := core.MustNew(core.Options{})
 	server, _ := k.NewDomain(core.DomainConfig{Name: "s"})
 	client, _ := k.NewDomain(core.DomainConfig{Name: "c"})
-	cap, err := k.CreateNativeCapability(server, nullSvc{})
+	cap, err := k.CreateNativeCapability(server, benchfix.NullSvc{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	task := k.NewTask(client, "b")
+	return cap, k.NewTask(client, "b")
+}
+
+// Native-path LRMI vs the share-anything baseline: the cost of the
+// J-Kernel's structure on the Go path.
+func BenchmarkAblation_NativeLRMI_Null(b *testing.B) {
+	cap, task := localNull(b)
 	defer task.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -372,49 +371,13 @@ func BenchmarkAblation_NativeLRMI_Null(b *testing.B) {
 // socket, so the gap tracks protocol + syscall cost, the paper's Table 2
 // vs Table 3 contrast; cmd/jkbench adds the true cross-process variant).
 func benchRemoteNull(b *testing.B, network string) {
-	server := core.MustNew(core.Options{})
-	client := core.MustNew(core.Options{})
-	sd, err := server.NewDomain(core.DomainConfig{Name: "svc"})
+	p, err := benchfix.NewPair(network, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	cd, err := client.NewDomain(core.DomainConfig{Name: "app"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cap, err := server.CreateNativeCapability(sd, nullSvc{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := server.Export("null", cap); err != nil {
-		b.Fatal(err)
-	}
-	addr := "127.0.0.1:0"
-	if network == "unix" {
-		addr = filepath.Join(b.TempDir(), "bench.sock")
-	}
-	ln, err := remote.Listen(server, network, addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ln.Close()
-	conn, err := remote.Dial(client, network, ln.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer conn.Close()
-	proxy, err := conn.Import("null")
-	if err != nil {
-		b.Fatal(err)
-	}
-	task := client.NewDetachedTask(cd, "bench")
+	defer p.Close()
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := proxy.InvokeFrom(task, "Null"); err != nil {
-			b.Fatal(err)
-		}
-	}
+	runBody(b, benchfix.SyncNull(p.Null, p.Task))
 }
 
 func BenchmarkRemoteNullCall(b *testing.B) {
@@ -425,21 +388,9 @@ func BenchmarkRemoteNullCall(b *testing.B) {
 // InvokeFrom skips the goroutine-id thread lookup: how much of native LRMI
 // is the lookup (the paper's "thread info lookup" row, native edition)?
 func BenchmarkAblation_NativeLRMI_ExplicitTask(b *testing.B) {
-	k := core.MustNew(core.Options{})
-	server, _ := k.NewDomain(core.DomainConfig{Name: "s"})
-	client, _ := k.NewDomain(core.DomainConfig{Name: "c"})
-	cap, err := k.CreateNativeCapability(server, nullSvc{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	task := k.NewTask(client, "b")
+	cap, task := localNull(b)
 	defer task.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cap.InvokeFrom(task, "Null"); err != nil {
-			b.Fatal(err)
-		}
-	}
+	runBody(b, benchfix.SyncNull(cap, task))
 }
 
 // The §2 share-anything call: a plain method invocation, the fast and
@@ -481,7 +432,7 @@ func BenchmarkAblation_GoroutineIDLookup(b *testing.B) {
 	defer task.Close()
 	_ = task
 	for i := 0; i < b.N; i++ {
-		if gid := goroutineIDProbe(); gid == 0 {
+		if gid := threads.GoroutineID(); gid == 0 {
 			b.Fatal("no gid")
 		}
 	}

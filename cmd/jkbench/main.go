@@ -15,20 +15,22 @@
 // reflect walker. Table 13 is the cluster load harness: thousands of
 // concurrent HTTP clients against fixed-capacity servlet shards, served
 // by a scheduled 4-worker pool vs a single worker — throughput and
-// p50/p99, with the speedup gated by -cluster-gate. See EXPERIMENTS.md
-// for the recorded results.
+// p50/p99, with the speedup gated by -cluster-gate. README explains what
+// each table measures. The fixtures and timed bodies live in
+// internal/benchfix, shared with the Go benchmarks (bench_test.go).
 //
-//	jkbench                  # all tables
-//	jkbench -table 4         # one table
-//	jkbench -table 8,11,12   # several (the perf-gate baseline set)
-//	jkbench -quick           # fewer iterations (CI-friendly)
-//	jkbench -json BENCH.json # also write measured rows as JSON
+//	jkbench                     # all tables
+//	jkbench -table 4            # one table
+//	jkbench -table 8,11,12,13   # several (the perf-gate baseline set)
+//	jkbench -quick              # fewer iterations (CI-friendly)
+//	jkbench -json BENCH.json    # also write measured rows as JSON
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -41,6 +43,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"jkernel/internal/benchfix"
 	"jkernel/internal/core"
 	"jkernel/internal/httpd"
 	"jkernel/internal/oskit"
@@ -171,252 +174,55 @@ func iters(base int) int {
 	return base
 }
 
-// measure times f(n) and returns µs per iteration.
-func measure(n int, f func(n int)) float64 {
-	f(n / 10) // warm-up
+// measure times body(n), after a warm-up of n/10, and returns µs per
+// iteration.
+func measure(n int, body benchfix.Body) float64 {
+	check(body(n / 10))
 	start := time.Now()
-	f(n)
+	check(body(n))
 	return float64(time.Since(start).Microseconds()) / float64(n)
 }
 
-// measureAllocs times f(n) and returns µs and heap allocations per
+// measureAllocs times body(n) and returns µs and heap allocations per
 // iteration. The allocation count is process-wide (Mallocs delta across
 // the run), deliberately: for the wire hot path the number that matters
 // is every allocation a call costs on either side of the in-process
 // loopback — read loops, flusher, and executor included.
-func measureAllocs(n int, f func(n int)) (usPer, allocsPer float64) {
-	f(n / 10) // warm-up; also primes the frame-buffer pools
+func measureAllocs(n int, body benchfix.Body) (usPer, allocsPer float64) {
+	check(body(n / 10)) // warm-up; also primes the frame-buffer pools
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
-	f(n)
+	check(body(n))
 	usPer = float64(time.Since(start).Microseconds()) / float64(n)
 	runtime.ReadMemStats(&m1)
 	return usPer, float64(m1.Mallocs-m0.Mallocs) / float64(n)
 }
 
 // measureEach times f once per iteration.
-func measureEach(n int, f func()) float64 {
-	return measure(n, func(n int) {
+func measureEach(n int, f func() error) float64 {
+	return measure(n, func(n int) error {
 		for i := 0; i < n; i++ {
-			f()
+			if err := f(); err != nil {
+				return err
+			}
 		}
+		return nil
 	})
 }
 
-// --- shared VM fixture (same classes as bench_test.go) --------------------
-
-const (
-	svcIface = `
-.class Svc interface implements jk/kernel/Remote
-.method nop ()V
-.end
-.method add3 (III)I
-.end
-.method sink (LMsgS;)I
-.end
-.method sinkF (LMsgF;)I
-.end
-`
-	msgS = ".class MsgS implements jk/io/Serializable\n.field payload [B\n.field next LMsgS;\n"
-	msgF = ".class MsgF implements jk/io/FastCopy\n.field payload [B\n.field next LMsgF;\n"
-
-	svcImpl = `
-.class SvcImpl implements Svc
-.method nop ()V stack 2 locals 0
-  ret
-.end
-.method add3 (III)I stack 6 locals 0
-  load 1
-  load 2
-  iadd
-  load 3
-  iadd
-  retv
-.end
-.method sink (LMsgS;)I stack 2 locals 0
-  iconst 1
-  retv
-.end
-.method sinkF (LMsgF;)I stack 2 locals 0
-  iconst 1
-  retv
-.end
-`
-	clientIface  = ".class LocalIface interface\n.method inop ()V\n.end\n"
-	clientTarget = `
-.class LocalTarget implements LocalIface
-.method nop ()V stack 2 locals 0
-  ret
-.end
-.method inop ()V stack 2 locals 0
-  ret
-.end
-`
-	clientBench = `
-.class Bench
-.field static cap LSvc;
-.field static target LLocalTarget;
-.method static setup ()V stack 4 locals 0
-  sconst "svc"
-  invokestatic jk/kernel/Repository.lookup:(Ljk/lang/String;)Ljk/kernel/Capability;
-  cast Svc
-  putstatic Bench.cap:LSvc;
-  new LocalTarget
-  putstatic Bench.target:LLocalTarget;
-  ret
-.end
-.method static runRegular (I)V stack 8 locals 1
-loop:
-  load 0
-  ifz done
-  getstatic Bench.target:LLocalTarget;
-  invokevirtual LocalTarget.nop:()V
-  load 0
-  iconst 1
-  isub
-  store 0
-  jmp loop
-done:
-  ret
-.end
-.method static runIface (I)V stack 8 locals 1
-loop:
-  load 0
-  ifz done
-  getstatic Bench.target:LLocalTarget;
-  invokeinterface LocalIface.inop:()V
-  load 0
-  iconst 1
-  isub
-  store 0
-  jmp loop
-done:
-  ret
-.end
-.method static runLock (I)V stack 8 locals 1
-loop:
-  load 0
-  ifz done
-  getstatic Bench.target:LLocalTarget;
-  monitorenter
-  getstatic Bench.target:LLocalTarget;
-  monitorexit
-  load 0
-  iconst 1
-  isub
-  store 0
-  jmp loop
-done:
-  ret
-.end
-.method static runLRMI (I)V stack 8 locals 1
-loop:
-  load 0
-  ifz done
-  getstatic Bench.cap:LSvc;
-  invokeinterface Svc.nop:()V
-  load 0
-  iconst 1
-  isub
-  store 0
-  jmp loop
-done:
-  ret
-.end
-.method static runLRMI3 (I)V stack 10 locals 1
-loop:
-  load 0
-  ifz done
-  getstatic Bench.cap:LSvc;
-  iconst 1
-  iconst 2
-  iconst 3
-  invokeinterface Svc.add3:(III)I
-  pop
-  load 0
-  iconst 1
-  isub
-  store 0
-  jmp loop
-done:
-  ret
-.end
-`
-)
-
-func mustBytes(src string) []byte {
-	b, err := vmkit.AssembleBytes(src)
-	if err != nil {
-		panic(err)
-	}
-	return b
+func newVM(profile vmkit.Profile) *benchfix.VM {
+	f, err := benchfix.NewVM(profile)
+	check(err)
+	return f
 }
 
-type fixture struct {
-	k      *core.Kernel
-	client *core.Domain
-	task   *core.Task
-	cap    *core.Capability
-}
-
-func newFixture(profile vmkit.Profile) *fixture {
-	k := core.MustNew(core.Options{Profile: profile})
-	server, err := k.NewDomain(core.DomainConfig{
-		Name: "server",
-		Classes: map[string][]byte{
-			"Svc": mustBytes(svcIface), "SvcImpl": mustBytes(svcImpl),
-			"MsgS": mustBytes(msgS), "MsgF": mustBytes(msgF),
-		},
-	})
+// newPair builds the two-kernel TCP loopback pair of Tables 7-12.
+func newPair(opts core.Options) *benchfix.Pair {
+	p, err := benchfix.NewPair("tcp", opts)
 	check(err)
-	sc, err := k.ShareClasses(server, "Svc", "MsgS", "MsgF")
-	check(err)
-	client, err := k.NewDomain(core.DomainConfig{
-		Name: "client",
-		Classes: map[string][]byte{
-			"LocalIface": mustBytes(clientIface), "LocalTarget": mustBytes(clientTarget),
-			"Bench": mustBytes(clientBench),
-		},
-		Shared: []*core.SharedClass{sc},
-	})
-	check(err)
-	setup := k.NewDetachedTask(server, "setup")
-	target, err := server.NewInstance("SvcImpl")
-	check(err)
-	cap, err := k.CreateVMCapability(server, target)
-	check(err)
-	check(k.Repository().Bind("svc", cap))
-	setup.Close()
-	task := k.NewDetachedTask(client, "bench")
-	_, err = task.CallStatic("Bench.setup:()V")
-	check(err)
-	return &fixture{k: k, client: client, task: task, cap: cap}
-}
-
-func (f *fixture) loop(method string) func(int) {
-	return func(n int) {
-		if _, err := f.task.CallStatic("Bench."+method+":(I)V", vmkit.IntVal(int64(n))); err != nil {
-			check(err)
-		}
-	}
-}
-
-func (f *fixture) chain(class string, count, size int) *vmkit.Object {
-	var head *vmkit.Object
-	for i := 0; i < count; i++ {
-		node, err := f.client.NewInstance(class)
-		check(err)
-		arr, err := f.client.NS.NewArray("[B", size)
-		check(err)
-		node.Fields[node.Class.FieldByName("payload").Slot] = vmkit.RefVal(arr)
-		if head != nil {
-			node.Fields[node.Class.FieldByName("next").Slot] = vmkit.RefVal(head)
-		}
-		head = node
-	}
-	return head
+	return p
 }
 
 func check(err error) {
@@ -432,8 +238,10 @@ func table1() {
 	fmt.Println("Table 1. Cost of null method invocations (in µs)")
 	fmt.Println("  paper columns: MS-VM / Sun-VM on 200MHz Pentium-Pro;")
 	fmt.Println("  ours: profile vm-A (MS-VM cost shape) / vm-B (Sun-VM cost shape)")
-	fa := newFixture(vmkit.ProfileA)
-	fb := newFixture(vmkit.ProfileB)
+	fa := newVM(vmkit.ProfileA)
+	defer fa.Close()
+	fb := newVM(vmkit.ProfileB)
+	defer fb.Close()
 	n := iters(300000)
 	rows := []struct {
 		name           string
@@ -451,13 +259,13 @@ func table1() {
 		if r.method == "runLRMI" {
 			nn = iters(50000)
 		}
-		a := measure(nn, fa.loop(r.method))
-		b := measure(nn, fb.loop(r.method))
+		a := measure(nn, fa.Loop(r.method))
+		b := measure(nn, fb.Loop(r.method))
 		fmt.Printf("  %-30s %10.2f %10.2f %10.3f %10.3f\n", r.name, r.paperA, r.paperB, a, b)
 	}
 	// Thread info lookup is measured outside bytecode, as in the stubs.
-	la := measureEach(iters(2000000), func() { fa.k.VM.LookupThread(fa.task.Thread.ID) })
-	lb := measureEach(iters(2000000), func() { fb.k.VM.LookupThread(fb.task.Thread.ID) })
+	la := measure(iters(2000000), fa.ThreadLookup())
+	lb := measure(iters(2000000), fb.ThreadLookup())
 	fmt.Printf("  %-30s %10.2f %10.2f %10.3f %10.3f\n", "Thread info lookup", 0.55, 0.29, la, lb)
 	fmt.Println()
 }
@@ -468,32 +276,34 @@ func table2() {
 
 	pipe, err := oskit.StartPipeServer()
 	check(err)
-	nt := measureEach(iters(20000), func() {
-		if _, err := pipe.RoundTrip([]byte{1}); err != nil {
-			check(err)
-		}
+	nt := measureEach(iters(20000), func() error {
+		_, err := pipe.RoundTrip([]byte{1})
+		return err
 	})
 	pipe.Close()
 	fmt.Printf("  %-30s %10.0f %10.2f\n", "NT-RPC (pipe, 2 processes)", 109.0, nt)
 
 	tcp, err := oskit.StartTCPServer()
 	check(err)
-	com := measureEach(iters(20000), func() {
-		if _, err := tcp.RoundTrip([]byte{1}); err != nil {
-			check(err)
-		}
+	com := measureEach(iters(20000), func() error {
+		_, err := tcp.RoundTrip([]byte{1})
+		return err
 	})
 	tcp.Close()
 	fmt.Printf("  %-30s %10.0f %10.2f\n", "COM out-of-proc (TCP loopback)", 99.0, com)
 
 	srv := oskit.InProc()
 	var sink byte
-	inproc := measureEach(iters(20000000), func() { sink = srv.Null(1) })
+	inproc := measureEach(iters(20000000), func() error {
+		sink = srv.Null(1)
+		return nil
+	})
 	_ = sink
 	fmt.Printf("  %-30s %10.2f %10.4f\n", "COM in-proc (interface call)", 0.03, inproc)
 
-	f := newFixture(vmkit.ProfileA)
-	lrmi := measure(iters(50000), f.loop("runLRMI"))
+	f := newVM(vmkit.ProfileA)
+	defer f.Close()
+	lrmi := measure(iters(50000), f.Loop("runLRMI"))
 	fmt.Printf("  %-30s %10.2f %10.2f   (for comparison)\n", "J-Kernel LRMI", 2.22, lrmi)
 	fmt.Println()
 }
@@ -501,51 +311,22 @@ func table2() {
 func table3() {
 	fmt.Println("Table 3. Cost of a double thread switch (in µs)")
 	fmt.Printf("  %-38s %8s %10s\n", "Configuration", "paper", "measured")
-	pinned := pingPongBench(true, iters(100000))
+	pinned := measure(iters(100000), benchfix.PingPong(true))
 	fmt.Printf("  %-38s %8.1f %10.2f\n", "OS threads (NT-base; JVM thread model)", 8.6, pinned)
-	green := pingPongBench(false, iters(500000))
+	green := measure(iters(500000), benchfix.PingPong(false))
 	fmt.Printf("  %-38s %8s %10.2f   (Go-native ablation)\n", "goroutines, unpinned", "-", green)
-	f := newFixture(vmkit.ProfileA)
-	lrmi := measure(iters(50000), f.loop("runLRMI"))
+	f := newVM(vmkit.ProfileA)
+	defer f.Close()
+	lrmi := measure(iters(50000), f.Loop("runLRMI"))
 	fmt.Printf("  %-38s %8s %10.2f   (what segments avoid paying)\n", "J-Kernel LRMI, for scale", "-", lrmi)
 	fmt.Println()
-}
-
-func pingPongBench(pin bool, n int) float64 {
-	ping := make(chan struct{})
-	pong := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		if pin {
-			// Lock the partner goroutine to its own OS thread.
-			lockOS()
-			defer unlockOS()
-		}
-		for {
-			select {
-			case <-ping:
-				pong <- struct{}{}
-			case <-done:
-				return
-			}
-		}
-	}()
-	if pin {
-		lockOS()
-		defer unlockOS()
-	}
-	us := measureEach(n, func() {
-		ping <- struct{}{}
-		<-pong
-	})
-	close(done)
-	return us
 }
 
 func table4() {
 	fmt.Println("Table 4. Cost of argument copying (in µs per LRMI)")
 	fmt.Println("  paper columns are MS-VM serialization / fast-copy")
-	f := newFixture(vmkit.ProfileA)
+	f := newVM(vmkit.ProfileA)
+	defer f.Close()
 	shapes := []struct {
 		name                string
 		count, size         int
@@ -558,20 +339,13 @@ func table4() {
 	}
 	fmt.Printf("  %-16s %10s %10s %12s %12s\n", "Argument", "paper-ser", "paper-fast", "ser", "fast")
 	for _, s := range shapes {
-		ms := f.chain("MsgS", s.count, s.size)
-		mf := f.chain("MsgF", s.count, s.size)
+		ser, err := f.ArgCopy(false, s.count, s.size)
+		check(err)
+		fast, err := f.ArgCopy(true, s.count, s.size)
+		check(err)
 		n := iters(20000)
-		ser := measureEach(n, func() {
-			if _, err := f.cap.InvokeVM(f.task, "sink", ms); err != nil {
-				check(err)
-			}
-		})
-		fast := measureEach(n, func() {
-			if _, err := f.cap.InvokeVM(f.task, "sinkF", mf); err != nil {
-				check(err)
-			}
-		})
-		fmt.Printf("  %-16s %10.1f %10.1f %12.2f %12.2f\n", s.name, s.paperSer, s.paperFast, ser, fast)
+		fmt.Printf("  %-16s %10.1f %10.1f %12.2f %12.2f\n", s.name, s.paperSer, s.paperFast,
+			measure(n, ser), measure(n, fast))
 	}
 	fmt.Println()
 }
@@ -587,24 +361,11 @@ func table5() {
 		1000: {759, 96, 616},
 	}
 	for _, size := range []int{10, 100, 1000} {
-		doc := make([]byte, size)
-		for i := range doc {
-			doc[i] = byte('a' + i%26)
-		}
-
-		static := serveThroughput(httpd.StaticHandler(doc))
-
-		k := core.MustNew(core.Options{})
-		bridge, err := httpd.NewBridge(k)
+		w, err := benchfix.NewWeb(size)
 		check(err)
-		_, err = bridge.MountDocServlet("doc", "/", doc)
-		check(err)
-		br := serveThroughput(bridge)
-
-		k2 := core.MustNew(core.Options{})
-		jws, err := httpd.NewJWS(k2, doc)
-		check(err)
-		jt := jwsThroughput(jws)
+		static := throughput(httpServe(httpd.StaticHandler(w.Doc)))
+		br := throughput(httpServe(w.Bridge))
+		jt := throughput(w.JWS.Serve)
 
 		p := paper[size]
 		fmt.Printf("  %-10s | %7.0f %7.0f %7.0f | %9.0f %9.0f %9.0f\n",
@@ -613,46 +374,19 @@ func table5() {
 	fmt.Println()
 }
 
-// serveThroughput measures pages/sec through a real loopback listener with
-// 8 concurrent keep-alive clients, like the paper's setup.
-func serveThroughput(h http.Handler) float64 {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	check(err)
-	srv := &http.Server{Handler: h}
-	go srv.Serve(ln)
-	defer srv.Close()
-	url := "http://" + ln.Addr().String() + "/index.html"
-
-	dur := 600 * time.Millisecond
-	if *quick {
-		dur = 200 * time.Millisecond
-	}
-	var total atomic.Int64
-	var wg sync.WaitGroup
-	stop := time.Now().Add(dur)
-	for c := 0; c < 8; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 2}}
-			for time.Now().Before(stop) {
-				resp, err := client.Get(url)
-				if err != nil {
-					return
-				}
-				drain(resp)
-				total.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	return float64(total.Load()) / dur.Seconds()
+// httpServe serves h with net/http.
+func httpServe(h http.Handler) func(net.Listener) error {
+	return func(ln net.Listener) error { return (&http.Server{Handler: h}).Serve(ln) }
 }
 
-func jwsThroughput(j *httpd.JWS) float64 {
+// throughput measures pages/sec through a real loopback listener with 8
+// concurrent keep-alive clients, like the paper's setup. serve runs the
+// server on the listener until the listener closes. Only 200 responses
+// count: a failed request or any other status fails the table.
+func throughput(serve func(net.Listener) error) float64 {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	check(err)
-	go j.Serve(ln)
+	go serve(ln)
 	defer ln.Close()
 	url := "http://" + ln.Addr().String() + "/index.html"
 
@@ -662,23 +396,44 @@ func jwsThroughput(j *httpd.JWS) float64 {
 	}
 	var total atomic.Int64
 	var wg sync.WaitGroup
+	errs := make([]error, 8)
 	stop := time.Now().Add(dur)
-	for c := 0; c < 8; c++ {
+	for c := range errs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 2}}
+			transport := &http.Transport{MaxIdleConnsPerHost: 2}
+			defer transport.CloseIdleConnections()
+			client := &http.Client{Transport: transport}
 			for time.Now().Before(stop) {
 				resp, err := client.Get(url)
 				if err != nil {
+					errs[c] = err
 					return
 				}
-				drain(resp)
+				_, err = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if err == nil && resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
+				}
+				if err != nil {
+					errs[c] = err
+					return
+				}
 				total.Add(1)
 			}
 		}()
 	}
 	wg.Wait()
+	var failed []error
+	for _, err := range errs {
+		if err != nil {
+			failed = append(failed, err)
+		}
+	}
+	if len(failed) > 0 {
+		check(fmt.Errorf("table 5: %d of %d clients failed, first: %w", len(failed), len(errs), failed[0]))
+	}
 	return float64(total.Load()) / dur.Seconds()
 }
 
@@ -688,44 +443,36 @@ func table6() {
 	k := ukern.NewKernel()
 
 	l4 := k.NewL4Pair()
-	v := measureEach(iters(200000), func() {
-		if _, err := l4.Call(1); err != nil {
-			check(err)
-		}
+	v := measureEach(iters(200000), func() error {
+		_, err := l4.Call(1)
+		return err
 	})
 	l4.Close()
 	fmt.Printf("  %-34s %8.2f %10.2f\n", "L4: round-trip IPC", 1.82, v)
 
 	exo := k.NewExoPair()
-	v = measureEach(iters(500000), func() {
-		if _, err := exo.Call(1); err != nil {
-			check(err)
-		}
+	v = measureEach(iters(500000), func() error {
+		_, err := exo.Call(1)
+		return err
 	})
 	fmt.Printf("  %-34s %8.2f %10.2f\n", "Exokernel: protected ctl transfer", 2.40, v)
 
 	eros := k.NewErosPair()
-	v = measureEach(iters(200000), func() {
-		if _, err := eros.Call(1); err != nil {
-			check(err)
-		}
+	v = measureEach(iters(200000), func() error {
+		_, err := eros.Call(1)
+		return err
 	})
 	eros.Close()
 	fmt.Printf("  %-34s %8.2f %10.2f\n", "Eros: round-trip IPC", 4.90, v)
 
-	f := newFixture(vmkit.ProfileA)
-	v = measure(iters(30000), f.loop("runLRMI3"))
+	f := newVM(vmkit.ProfileA)
+	defer f.Close()
+	v = measure(iters(30000), f.Loop("runLRMI3"))
 	fmt.Printf("  %-34s %8.2f %10.2f\n", "J-Kernel: invocation with 3 args", 3.77, v)
 	fmt.Println()
 }
 
 // --- table 7: remote kernels (beyond the paper) ----------------------------
-
-// benchNullSvc is the remote null-call target.
-type benchNullSvc struct{}
-
-// Null does nothing.
-func (benchNullSvc) Null() error { return nil }
 
 // remoteBenchSetup is the worker-kernel body for the cross-process rows.
 func remoteBenchSetup(k *core.Kernel) error {
@@ -733,7 +480,7 @@ func remoteBenchSetup(k *core.Kernel) error {
 	if err != nil {
 		return err
 	}
-	cap, err := k.CreateNativeCapability(d, benchNullSvc{})
+	cap, err := k.CreateNativeCapability(d, benchfix.NullSvc{})
 	if err != nil {
 		return err
 	}
@@ -744,6 +491,19 @@ func remoteBenchSetup(k *core.Kernel) error {
 	return clusterBenchWorker(k)
 }
 
+// workerNull starts one worker process (remoteBenchSetup) and imports its
+// null export over a unix socket from kernel k: the cross-process rows of
+// Tables 7 and 8. The caller closes the conn, then the pool.
+func workerNull(k *core.Kernel) (*remote.Pool, *remote.Conn, *core.Capability) {
+	pool, err := remote.StartPool(remote.PoolOptions{Workers: 1})
+	check(err)
+	conn, err := pool.Worker(0).Dial(k, 10*time.Second)
+	check(err)
+	proxy, err := conn.Import("null")
+	check(err)
+	return pool, conn, proxy
+}
+
 // table7 contrasts local LRMI with remote (cross-kernel) capability
 // invocation, the concrete version of the paper's Table 2-vs-3 argument:
 // LRMI stays ~an order of magnitude under the cross-process wire, which
@@ -752,99 +512,46 @@ func remoteBenchSetup(k *core.Kernel) error {
 func table7() {
 	fmt.Println("Table 7. Remote kernels: null capability invocation (in µs; beyond the paper)")
 	fmt.Printf("  %-46s %10s\n", "Configuration", "measured")
+	row := func(name string, us float64) {
+		fmt.Printf("  %-46s %10.2f\n", name, us)
+		record(7, name, us)
+	}
 
 	// Local rows: the VM LRMI (Table 1's row) and the native-path LRMI.
-	f := newFixture(vmkit.ProfileA)
-	lrmi := measure(iters(50000), f.loop("runLRMI"))
-	fmt.Printf("  %-46s %10.2f\n", "J-Kernel LRMI (VM, same kernel)", lrmi)
-	record(7, "J-Kernel LRMI (VM, same kernel)", lrmi)
+	f := newVM(vmkit.ProfileA)
+	defer f.Close()
+	row("J-Kernel LRMI (VM, same kernel)", measure(iters(50000), f.Loop("runLRMI")))
 
 	kl := core.MustNew(core.Options{})
 	sd, err := kl.NewDomain(core.DomainConfig{Name: "s"})
 	check(err)
 	cd, err := kl.NewDomain(core.DomainConfig{Name: "c"})
 	check(err)
-	lcap, err := kl.CreateNativeCapability(sd, benchNullSvc{})
+	lcap, err := kl.CreateNativeCapability(sd, benchfix.NullSvc{})
 	check(err)
 	ltask := kl.NewDetachedTask(cd, "bench")
-	local := measureEach(iters(200000), func() {
-		if _, err := lcap.InvokeFrom(ltask, "Null"); err != nil {
-			check(err)
-		}
-	})
-	fmt.Printf("  %-46s %10.2f\n", "native LRMI (Go, same kernel)", local)
-	record(7, "native LRMI (Go, same kernel)", local)
+	defer ltask.Close()
+	row("native LRMI (Go, same kernel)", measure(iters(200000), benchfix.SyncNull(lcap, ltask)))
 
 	// In-process wire row: second kernel, same process, TCP loopback.
-	k2 := core.MustNew(core.Options{})
-	s2, err := k2.NewDomain(core.DomainConfig{Name: "svc"})
-	check(err)
-	c2, err := k2.CreateNativeCapability(s2, benchNullSvc{})
-	check(err)
-	check(k2.Export("null", c2))
-	ln, err := remote.Listen(k2, "tcp", "127.0.0.1:0")
-	check(err)
-	conn, err := remote.Dial(kl, "tcp", ln.Addr().String())
-	check(err)
-	proxy, err := conn.Import("null")
-	check(err)
-	inproc := measureEach(iters(20000), func() {
-		if _, err := proxy.InvokeFrom(ltask, "Null"); err != nil {
-			check(err)
-		}
-	})
-	conn.Close()
-	ln.Close()
-	fmt.Printf("  %-46s %10.2f\n", "remote null call (2nd kernel, TCP loopback)", inproc)
-	record(7, "remote null call (2nd kernel, TCP loopback)", inproc)
+	p := newPair(core.Options{})
+	inproc := measure(iters(20000), benchfix.SyncNull(p.Null, p.Task))
+	p.Close()
+	row("remote null call (2nd kernel, TCP loopback)", inproc)
 
 	// Cross-process row: a real worker process behind a unix socket.
-	pool, err := remote.StartPool(remote.PoolOptions{Workers: 1})
-	check(err)
+	pool, wconn, wproxy := workerNull(kl)
 	defer pool.Close()
-	wconn, err := pool.Worker(0).Dial(kl, 10*time.Second)
-	check(err)
-	wproxy, err := wconn.Import("null")
-	check(err)
-	cross := measureEach(iters(20000), func() {
-		if _, err := wproxy.InvokeFrom(ltask, "Null"); err != nil {
-			check(err)
-		}
-	})
-	wconn.Close()
-	fmt.Printf("  %-46s %10.2f\n", "remote null call (worker process, unix socket)", cross)
-	record(7, "remote null call (worker process, unix socket)", cross)
+	defer wconn.Close()
+	row("remote null call (worker process, unix socket)", measure(iters(20000), benchfix.SyncNull(wproxy, ltask)))
 	fmt.Println()
 }
 
 // --- table 8: sync vs async-batched remote invocation ----------------------
 
-// measureAsyncBatched times null calls issued as windowed async fan-outs:
-// each wave queues `window` futures (the connection coalesces them into
-// multi-invoke frames), flushes, and joins. µs per call.
-func measureAsyncBatched(conn *remote.Conn, proxy *core.Capability, task *core.Task, n int) float64 {
-	const window = 512
-	futs := make([]*core.Future, 0, window)
-	return measure(n, func(n int) {
-		for done := 0; done < n; {
-			w := window
-			if w > n-done {
-				w = n - done
-			}
-			futs = futs[:0]
-			for i := 0; i < w; i++ {
-				futs = append(futs, proxy.InvokeAsyncFrom(task, "Null"))
-			}
-			conn.Flush()
-			for _, f := range futs {
-				if _, err := f.Wait(); err != nil {
-					check(err)
-				}
-			}
-			done += w
-		}
-	})
-}
+// batchWindow is how many async null calls one batched wave starts before
+// it flushes and joins them.
+const batchWindow = 512
 
 // table8 measures what batching buys on the wire: the same remote null
 // call issued synchronously (one frame and one round trip per call, the
@@ -860,52 +567,27 @@ func table8() {
 		record(8, name, us)
 	}
 
+	// In-process second kernel over TCP loopback.
+	p := newPair(core.Options{})
+	syncLoop := measure(iters(20000), benchfix.SyncNull(p.Null, p.Task))
+	row("sync per-call (2nd kernel, TCP loopback)", syncLoop)
+	asyncLoop := measure(iters(200000), benchfix.Batched(p.Conn, p.Null, p.Task, batchWindow, "Null"))
+	row("async batched (2nd kernel, TCP loopback)", asyncLoop)
+	p.Close()
+
+	// Cross-process: a real worker behind a unix socket.
 	kl := core.MustNew(core.Options{})
 	cd, err := kl.NewDomain(core.DomainConfig{Name: "app"})
 	check(err)
 	task := kl.NewDetachedTask(cd, "bench")
-
-	// In-process second kernel over TCP loopback.
-	k2 := core.MustNew(core.Options{})
-	s2, err := k2.NewDomain(core.DomainConfig{Name: "svc"})
-	check(err)
-	c2, err := k2.CreateNativeCapability(s2, benchNullSvc{})
-	check(err)
-	check(k2.Export("null", c2))
-	ln, err := remote.Listen(k2, "tcp", "127.0.0.1:0")
-	check(err)
-	conn, err := remote.Dial(kl, "tcp", ln.Addr().String())
-	check(err)
-	proxy, err := conn.Import("null")
-	check(err)
-	syncLoop := measureEach(iters(20000), func() {
-		if _, err := proxy.InvokeFrom(task, "Null"); err != nil {
-			check(err)
-		}
-	})
-	row("sync per-call (2nd kernel, TCP loopback)", syncLoop)
-	asyncLoop := measureAsyncBatched(conn, proxy, task, iters(200000))
-	row("async batched (2nd kernel, TCP loopback)", asyncLoop)
-	conn.Close()
-	ln.Close()
-
-	// Cross-process: a real worker behind a unix socket.
-	pool, err := remote.StartPool(remote.PoolOptions{Workers: 1})
-	check(err)
+	defer task.Close()
+	pool, wconn, wproxy := workerNull(kl)
 	defer pool.Close()
-	wconn, err := pool.Worker(0).Dial(kl, 10*time.Second)
-	check(err)
-	wproxy, err := wconn.Import("null")
-	check(err)
-	syncCross := measureEach(iters(20000), func() {
-		if _, err := wproxy.InvokeFrom(task, "Null"); err != nil {
-			check(err)
-		}
-	})
+	defer wconn.Close()
+	syncCross := measure(iters(20000), benchfix.SyncNull(wproxy, task))
 	row("sync per-call (worker process, unix socket)", syncCross)
-	asyncCross := measureAsyncBatched(wconn, wproxy, task, iters(200000))
+	asyncCross := measure(iters(200000), benchfix.Batched(wconn, wproxy, task, batchWindow, "Null"))
 	row("async batched (worker process, unix socket)", asyncCross)
-	wconn.Close()
 
 	fmt.Printf("  %-52s %9.1fx\n", "batching speedup (TCP loopback)", syncLoop/asyncLoop)
 	fmt.Printf("  %-52s %9.1fx\n", "batching speedup (worker process)", syncCross/asyncCross)
@@ -926,7 +608,7 @@ type benchMakerSvc struct {
 
 // Make returns a fresh null-service capability.
 func (m *benchMakerSvc) Make() (*core.Capability, error) {
-	return m.k.CreateNativeCapability(m.d, benchNullSvc{})
+	return m.k.CreateNativeCapability(m.d, benchfix.NullSvc{})
 }
 
 // table9 measures the full capability lifecycle on the wire: mint a
@@ -939,66 +621,39 @@ func table9() {
 	fmt.Println("Table 9. Remote kernels: capability churn and table hygiene (beyond the paper)")
 	fmt.Printf("  %-52s %10s %12s\n", "Configuration", "µs/cycle", "cycles/sec")
 
-	kl := core.MustNew(core.Options{})
-	cd, err := kl.NewDomain(core.DomainConfig{Name: "app"})
+	p := newPair(core.Options{})
+	defer p.Close()
+	proxy, err := p.Export("maker", &benchMakerSvc{k: p.Server, d: p.Svc})
 	check(err)
-	task := kl.NewDetachedTask(cd, "bench")
+	base := p.Tables()
+	mintBase := p.Svc.CreatedCapabilities()
 
-	k2 := core.MustNew(core.Options{})
-	s2, err := k2.NewDomain(core.DomainConfig{Name: "svc"})
-	check(err)
-	maker, err := k2.CreateNativeCapability(s2, &benchMakerSvc{k: k2, d: s2})
-	check(err)
-	check(k2.Export("maker", maker))
-	ln, err := remote.Listen(k2, "tcp", "127.0.0.1:0")
-	check(err)
-	conn, err := remote.Dial(kl, "tcp", ln.Addr().String())
-	check(err)
-	proxy, err := conn.Import("maker")
-	check(err)
-	mintBase := s2.CreatedCapabilities()
-
-	us := measureEach(iters(20000), func() {
-		res, err := proxy.InvokeFrom(task, "Make")
-		check(err)
+	us := measureEach(iters(20000), func() error {
+		res, err := proxy.InvokeFrom(p.Task, "Make")
+		if err != nil {
+			return err
+		}
 		cap := res[0].(*core.Capability)
-		if _, err := cap.InvokeFrom(task, "Null"); err != nil {
-			check(err)
+		if _, err := cap.InvokeFrom(p.Task, "Null"); err != nil {
+			return err
 		}
 		remote.ReleaseProxy(cap)
+		return nil
 	})
 	fmt.Printf("  %-52s %10.2f %12.0f\n", "churn cycle: make+invoke+release (TCP loopback)", us, 1e6/us)
 	record(9, "churn cycle: make+invoke+release (TCP loopback)", us)
 
-	// Leak gate: once the release sweep drains, the client connection
-	// holds exactly its lookup import, and the server connection exactly
-	// the one export backing it.
-	conn.Flush()
-	leaked := func(c *remote.Conn, base remote.TableSizes) float64 {
-		deadline := time.Now().Add(10 * time.Second)
-		sz := c.TableSizes()
-		for time.Now().Before(deadline) {
-			if sz = c.TableSizes(); sz == base {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
-		return float64(sz.Exports - base.Exports + sz.ExportIDs - base.ExportIDs +
-			sz.Imports - base.Imports + sz.PreRevoked - base.PreRevoked +
-			sz.Unhook - base.Unhook + sz.Pending - base.Pending)
-	}
-	clientLeak := leaked(conn, remote.TableSizes{Imports: 1})
-	var serverLeak float64
-	if conns := ln.Conns(); len(conns) == 1 {
-		serverLeak = leaked(conns[0], remote.TableSizes{Exports: 1, ExportIDs: 1, Unhook: 1})
-	}
+	// Leak gate: once the release sweep drains, both ends hold exactly
+	// their post-import tables again.
+	leaked := p.Settle(base, 10*time.Second)
+	clientLeak, serverLeak := float64(leaked[0]), float64(leaked[1])
 	// Gate leak: every minted capability was released, so once the GC
-	// runs the minting domain holds only the maker again.
+	// runs the minting domain holds only its exports again.
 	var gateLeak float64
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		runtime.GC()
-		gateLeak = float64(s2.CreatedCapabilities() - mintBase)
+		gateLeak = float64(p.Svc.CreatedCapabilities() - mintBase)
 		if gateLeak == 0 || time.Now().After(deadline) {
 			break
 		}
@@ -1010,8 +665,6 @@ func table9() {
 	recordRatio(9, "post-churn leaked table entries (client)", clientLeak)
 	recordRatio(9, "post-churn leaked table entries (server)", serverLeak)
 	recordRatio(9, "post-churn leaked gates (server)", gateLeak)
-	conn.Close()
-	ln.Close()
 	fmt.Println()
 }
 
@@ -1032,26 +685,9 @@ func table10() {
 	fmt.Printf("  %-52s %10s %12s\n", "Configuration", "µs/call", "calls/sec")
 
 	bench := func(disable bool) float64 {
-		kl := core.MustNew(core.Options{DisableTelemetry: disable, TelemetryNode: "bench-app"})
-		cd, err := kl.NewDomain(core.DomainConfig{Name: "app"})
-		check(err)
-		task := kl.NewDetachedTask(cd, "bench")
-		k2 := core.MustNew(core.Options{DisableTelemetry: disable, TelemetryNode: "bench-svc"})
-		s2, err := k2.NewDomain(core.DomainConfig{Name: "svc"})
-		check(err)
-		c2, err := k2.CreateNativeCapability(s2, benchNullSvc{})
-		check(err)
-		check(k2.Export("null", c2))
-		ln, err := remote.Listen(k2, "tcp", "127.0.0.1:0")
-		check(err)
-		conn, err := remote.Dial(kl, "tcp", ln.Addr().String())
-		check(err)
-		proxy, err := conn.Import("null")
-		check(err)
-		us := measureAsyncBatched(conn, proxy, task, iters(200000))
-		conn.Close()
-		ln.Close()
-		return us
+		p := newPair(core.Options{DisableTelemetry: disable})
+		defer p.Close()
+		return measure(iters(200000), benchfix.Batched(p.Conn, p.Null, p.Task, batchWindow, "Null"))
 	}
 
 	// Paired rounds, median ratio: the ratio compares two ~3µs/call
@@ -1113,7 +749,7 @@ func table11() {
 	kA := core.MustNew(core.Options{})
 	aDom, err := kA.NewDomain(core.DomainConfig{Name: "origin"})
 	check(err)
-	aCap, err := kA.CreateNativeCapability(aDom, benchNullSvc{})
+	aCap, err := kA.CreateNativeCapability(aDom, benchfix.NullSvc{})
 	check(err)
 	check(kA.Export("null", aCap))
 	lnA, err := remote.Listen(kA, "tcp", "127.0.0.1:0")
@@ -1150,11 +786,7 @@ func table11() {
 	defer dconn.Close()
 	dproxy, err := dconn.Import("null")
 	check(err)
-	direct := measureEach(iters(20000), func() {
-		if _, err := dproxy.InvokeFrom(task, "Null"); err != nil {
-			check(err)
-		}
-	})
+	direct := measure(iters(20000), benchfix.SyncNull(dproxy, task))
 	row("direct null call (C dials origin A)", direct)
 
 	// Relay: handoff off at the middleman, so the re-export stays a pure
@@ -1167,11 +799,7 @@ func table11() {
 	res, err := relayHolder.InvokeFrom(task, "Get")
 	check(err)
 	relayCap := res[0].(*core.Capability)
-	relayed := measureEach(iters(20000), func() {
-		if _, err := relayCap.InvokeFrom(task, "Null"); err != nil {
-			check(err)
-		}
-	})
+	relayed := measure(iters(20000), benchfix.SyncNull(relayCap, task))
 	row("relayed null call (C -> middleman B -> A)", relayed)
 	remote.ReleaseProxy(relayCap)
 	remote.ReleaseProxy(relayHolder)
@@ -1195,11 +823,7 @@ func table11() {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	shortened := measureEach(iters(20000), func() {
-		if _, err := shortCap.InvokeFrom(task, "Null"); err != nil {
-			check(err)
-		}
-	})
+	shortened := measure(iters(20000), benchfix.SyncNull(shortCap, task))
 	row("shortened null call (redeemed ticket, C -> A)", shortened)
 
 	fmt.Printf("  %-52s %9.2fx\n", "relay penalty (relayed / direct)", relayed/direct)
@@ -1249,63 +873,16 @@ func table12() {
 		recordAllocs(12, name, us, allocs)
 	}
 
-	kl := core.MustNew(core.Options{})
-	cd, err := kl.NewDomain(core.DomainConfig{Name: "app"})
-	check(err)
-	task := kl.NewDetachedTask(cd, "bench")
-	kl.RegisterWireType("bench.payload", benchPayload{})
-
-	k2 := core.MustNew(core.Options{})
-	s2, err := k2.NewDomain(core.DomainConfig{Name: "svc"})
-	check(err)
-	k2.RegisterWireType("bench.payload", benchPayload{})
-	nullCap, err := k2.CreateNativeCapability(s2, benchNullSvc{})
-	check(err)
-	check(k2.Export("null", nullCap))
-	echoCap, err := k2.CreateNativeCapability(s2, benchPayloadSvc{})
-	check(err)
-	check(k2.Export("payload", echoCap))
-	ln, err := remote.Listen(k2, "tcp", "127.0.0.1:0")
-	check(err)
-	defer ln.Close()
-	conn, err := remote.Dial(kl, "tcp", ln.Addr().String())
-	check(err)
-	defer conn.Close()
-	proxy, err := conn.Import("null")
-	check(err)
-	pproxy, err := conn.Import("payload")
+	p := newPair(core.Options{})
+	defer p.Close()
+	p.Client.RegisterWireType("bench.payload", benchPayload{})
+	p.Server.RegisterWireType("bench.payload", benchPayload{})
+	pproxy, err := p.Export("payload", benchPayloadSvc{})
 	check(err)
 
-	syncUs, syncAllocs := measureAllocs(iters(20000), func(n int) {
-		for i := 0; i < n; i++ {
-			if _, err := proxy.InvokeFrom(task, "Null"); err != nil {
-				check(err)
-			}
-		}
-	})
+	syncUs, syncAllocs := measureAllocs(iters(20000), benchfix.SyncNull(p.Null, p.Task))
 	row("sync null call (TCP loopback)", syncUs, syncAllocs)
-
-	const window = 512
-	futs := make([]*core.Future, 0, window)
-	asyncUs, asyncAllocs := measureAllocs(iters(200000), func(n int) {
-		for done := 0; done < n; {
-			w := window
-			if w > n-done {
-				w = n - done
-			}
-			futs = futs[:0]
-			for i := 0; i < w; i++ {
-				futs = append(futs, proxy.InvokeAsyncFrom(task, "Null"))
-			}
-			conn.Flush()
-			for _, f := range futs {
-				if _, err := f.Wait(); err != nil {
-					check(err)
-				}
-			}
-			done += w
-		}
-	})
+	asyncUs, asyncAllocs := measureAllocs(iters(200000), benchfix.Batched(p.Conn, p.Null, p.Task, batchWindow, "Null"))
 	row("async batched null call (TCP loopback)", asyncUs, asyncAllocs)
 
 	// 1 KiB rows ride the async-batched path too: with the per-frame
@@ -1316,41 +893,25 @@ func table12() {
 	for i := range msg.Data {
 		msg.Data[i] = byte(i)
 	}
-	payloadLoop := func(n int) {
-		const pwindow = 128
-		for done := 0; done < n; {
-			w := pwindow
-			if w > n-done {
-				w = n - done
-			}
-			futs = futs[:0]
-			for i := 0; i < w; i++ {
-				futs = append(futs, pproxy.InvokeAsyncFrom(task, "Echo", msg))
-			}
-			conn.Flush()
-			for _, f := range futs {
-				if _, err := f.Wait(); err != nil {
-					check(err)
-				}
-			}
-			done += w
-		}
-	}
-	echoUs, echoAllocs := measureAllocs(iters(50000), payloadLoop)
+	echoUs, echoAllocs := measureAllocs(iters(50000), benchfix.Batched(p.Conn, pproxy, p.Task, 128, "Echo", msg))
 	row("1 KiB payload echo, batched (TCP loopback)", echoUs, echoAllocs)
 
 	// The serializer passes in isolation: one marshal+unmarshal of the
 	// same message through the kernel's registry, generated plans on vs
 	// bypassed (every encode/decode falls back to the reflect walker).
 	// Interleaved best-of rounds, as in table 10.
-	reg := kl.SeriRegistry()
-	seriLoop := func(n int) {
+	reg := p.Client.SeriRegistry()
+	seriLoop := func(n int) error {
 		for i := 0; i < n; i++ {
 			data, err := seri.Marshal(reg, msg)
-			check(err)
-			_, err = seri.Unmarshal(reg, data)
-			check(err)
+			if err != nil {
+				return err
+			}
+			if _, err := seri.Unmarshal(reg, data); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
 	seriBench := func(fast bool) (float64, float64) {
 		reg.SetFastpath(fast)
@@ -1371,14 +932,4 @@ func table12() {
 	fmt.Printf("  %-52s %9.2fx\n", "generated-marshaler speedup (reflect / generated)", reflUs/fastUs)
 	recordRatio(12, "generated-marshaler speedup (reflect / generated)", reflUs/fastUs)
 	fmt.Println()
-}
-
-func drain(resp *http.Response) {
-	buf := make([]byte, 4096)
-	for {
-		if _, err := resp.Body.Read(buf); err != nil {
-			break
-		}
-	}
-	resp.Body.Close()
 }

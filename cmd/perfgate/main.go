@@ -17,7 +17,7 @@
 //
 // Refreshing the baseline after an intentional perf change:
 //
-//	go run ./cmd/jkbench -quick -table 8,11,12 -json bench_baseline.json
+//	go run ./cmd/jkbench -quick -table 8,11,12,13 -json bench_baseline.json
 package main
 
 import (
