@@ -77,7 +77,7 @@ func main() {
 
 	// Fan out asynchronously: queue one future per call across both
 	// shards, flush, and join once. Calls queued on a connection coalesce
-	// into multi-invoke frames (the paper's Table 4 lesson applied to the
+	// into shared invoke frames (the paper's Table 4 lesson applied to the
 	// wire), so this wave costs a handful of frames, not 100 round trips.
 	const wave = 100
 	futs := make([]*jkernel.Future, 0, wave)
@@ -155,8 +155,8 @@ func main() {
 	// Telemetry snapshot: the supervisor's own registry, including the
 	// cross-domain call graph and wire counters.
 	snap := jkernel.Metrics(sup).Snapshot()
-	fmt.Printf("-- supervisor snapshot: %d async starts, %d batch frames out\n",
-		snap.Counters["core.async.starts"], snap.Counters["remote.frames_out.batch_invoke"])
+	fmt.Printf("-- supervisor snapshot: %d async starts, %d invoke frames out\n",
+		snap.Counters["core.async.starts"], snap.Counters["remote.frames_out.invoke"])
 	if h, ok := snap.Histograms["remote.invoke.latency_ns"]; ok {
 		fmt.Printf("   wire invoke latency: n=%d p50=%.0fns p99=%.0fns\n", h.Count, h.P50, h.P99)
 	}
@@ -196,8 +196,7 @@ func main() {
 		check(err)
 	}
 	after := jkernel.Metrics(sup).Snapshot()
-	relayed := (after.Counters["remote.frames_in.invoke"] - before.Counters["remote.frames_in.invoke"]) +
-		(after.Counters["remote.frames_in.batch_invoke"] - before.Counters["remote.frames_in.batch_invoke"])
+	relayed := after.Counters["remote.frames_in.invoke"] - before.Counters["remote.frames_in.invoke"]
 	if relayed != 0 {
 		fail("worker->worker calls relayed %d invoke frames through the supervisor", relayed)
 	}

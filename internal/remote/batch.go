@@ -4,9 +4,8 @@ import "sync"
 
 // Wire-level batching: every invoke, sync or async, enqueues here instead
 // of writing its own frame, and a per-connection flusher goroutine drains
-// the queue into frames — a lone call as msgInvoke, several as
-// msgBatchInvoke. Flushing is "smart batching"
-// rather than timer-driven: whenever the flusher is idle it sends
+// the queue into msgInvoke frames — a lone call is a frame with a count
+// of one. Flushing is "smart batching" rather than timer-driven: whenever the flusher is idle it sends
 // whatever has queued immediately, so a lone call on an idle connection
 // pays no added latency, while calls arriving during a frame write pile
 // up and leave as one frame. The flush policy is therefore:
@@ -17,11 +16,11 @@ import "sync"
 //     before returning.
 
 const (
-	// maxBatchCalls bounds calls per multi-invoke frame.
+	// maxBatchCalls bounds calls per invoke frame.
 	maxBatchCalls = 128
-	// maxBatchBytes bounds the encoded size of one multi-invoke frame
-	// (well under maxFrame; a single oversized call still travels alone
-	// and is rejected by the per-call frame check).
+	// maxBatchBytes bounds the encoded size of one invoke frame (well
+	// under maxFrame; a single oversized call still travels alone and is
+	// rejected by the per-call frame check).
 	maxBatchBytes = 1 << 20
 	// maxReleaseEntries bounds entries per msgRelease frame (each entry is
 	// three uvarints, so even the cap is a small frame).

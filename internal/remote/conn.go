@@ -310,16 +310,16 @@ func (c *Conn) send(payload []byte) error {
 	return c.sendSegments(payload)
 }
 
-// sendOrFault writes one frame and routes a failed write to the
-// connection-fault path. It is the send for frame handlers with nobody
-// to hand an error back to (replies, manifests, lookup answers): a reply
-// that cannot reach the peer means the socket is broken, and the
-// connection must fault its imports rather than keep running silently —
-// the same policy sendReleases applies.
+// sendOrFault writes one frame (as sendSegments) and routes a failed
+// write to the connection-fault path. It is the send for frame handlers
+// with nobody to hand an error back to (replies, manifests, lookup
+// answers): a reply that cannot reach the peer means the socket is
+// broken, and the connection must fault its imports rather than keep
+// running silently — the same policy sendReleases applies.
 //
 //jk:blocking
-func (c *Conn) sendOrFault(payload []byte) {
-	if err := c.send(payload); err != nil {
+func (c *Conn) sendOrFault(segs ...[]byte) {
+	if err := c.sendSegments(segs...); err != nil {
 		c.shutdown(fmt.Errorf("remote: reply write failed: %w", err))
 	}
 }
@@ -1089,11 +1089,10 @@ func (noopCanceler) CancelAsync() {}
 
 // InvokeProxyAsync implements core.AsyncProxyTarget: marshal, queue on the
 // connection's batcher for the flusher, and return. A sync call is this
-// plus a wait on done. A lone call leaves as an ordinary msgInvoke, calls
-// queued together as one msgBatchInvoke. The completion fires on the reader goroutine when the
-// reply arrives, or on the shutdown path when the connection dies first —
-// either way exactly once, unless cancel removes the pending slot before
-// that.
+// plus a wait on done; calls queued together leave in one msgInvoke frame.
+// The completion fires on the reader goroutine when the reply arrives, or
+// on the shutdown path when the connection dies first — either way
+// exactly once, unless cancel removes the pending slot before that.
 func (p *proxyTarget) InvokeProxyAsync(call core.ProxyCall, done core.AsyncCompleter) core.AsyncCanceler {
 	c := p.conn
 	m := c.metrics
@@ -1168,9 +1167,8 @@ func (p *proxyTarget) InvokeProxyAsync(call core.ProxyCall, done core.AsyncCompl
 	return pa
 }
 
-// sendBatch writes queued calls as one frame: a lone call travels as an
-// ordinary msgInvoke (no batch envelope), several as msgBatchInvoke. A
-// failed write fails every call in the frame with the connection fault.
+// sendBatch writes queued calls as one msgInvoke frame. A failed write
+// fails every call in the frame with the connection fault.
 func (c *Conn) sendBatch(calls []batchedCall) {
 	if m := c.metrics; m != nil {
 		m.batchOccupancy.Observe(int64(len(calls)))
@@ -1178,43 +1176,32 @@ func (c *Conn) sendBatch(calls []batchedCall) {
 	// Call headers build in one pooled buffer; each call's argument bytes
 	// stay in the buffer invokeAsync encoded them into, and the vectored
 	// writer stitches header and payload segments into one syscall —
-	// nothing is memmoved into a contiguous frame.
+	// nothing is memmoved into a contiguous frame. Two passes: headers
+	// first (appends may move hb's backing array, so segment slices are
+	// only cut once the buffer is final). Small frames keep the cuts and
+	// segments on the stack.
 	hb := getFrame(64 * len(calls))
-	var err error
-	if len(calls) == 1 {
-		call := &calls[0]
-		w := wbuf{b: hb.b}
-		w.u8(msgInvoke)
-		w.uvarint(call.reqID)
-		w.uvarint(call.exportID)
-		w.str(call.method)
-		appendTrace(&w, call.traceID, call.parentSpan)
-		hb.b = w.b
-		err = c.sendSegments(hb.b, call.args)
-	} else {
-		w := wbuf{b: hb.b}
-		w.u8(msgBatchInvoke)
-		w.uvarint(uint64(len(calls)))
-		// Two passes: headers first (appends may move hb's backing array,
-		// so segment slices are only cut once the buffer is final).
-		cuts := make([]int, len(calls))
-		for i := range calls {
-			call := &calls[i]
-			appendBatchCallHeader(&w, call.reqID, call.exportID, call.method, call.traceID, call.parentSpan, len(call.args))
-			cuts[i] = len(w.b)
-		}
-		hb.b = w.b
-		segs := make([][]byte, 0, 2*len(calls))
-		prev := 0
-		for i := range calls {
-			segs = append(segs, hb.b[prev:cuts[i]])
-			if len(calls[i].args) > 0 {
-				segs = append(segs, calls[i].args)
-			}
-			prev = cuts[i]
-		}
-		err = c.sendSegments(segs...)
+	w := wbuf{b: hb.b}
+	w.u8(msgInvoke)
+	w.uvarint(uint64(len(calls)))
+	var cutBuf [8]int
+	cuts := cutBuf[:0]
+	for i := range calls {
+		appendCallHeader(&w, &calls[i])
+		cuts = append(cuts, len(w.b))
 	}
+	hb.b = w.b
+	var segBuf [16][]byte
+	segs := segBuf[:0]
+	prev := 0
+	for i, cut := range cuts {
+		segs = append(segs, hb.b[prev:cut])
+		if len(calls[i].args) > 0 {
+			segs = append(segs, calls[i].args)
+		}
+		prev = cut
+	}
+	err := c.sendSegments(segs...)
 	hb.release()
 	for i := range calls {
 		if calls[i].argsBuf != nil {
@@ -1289,12 +1276,10 @@ func (c *Conn) dispatch(fb *frameBuf) error {
 		return err
 	}
 	switch t {
-	case msgInvoke, msgBatchInvoke:
-		c.serveFrame(fb, t, v)
+	case msgInvoke:
+		c.serveFrame(fb, v.(*invokeMsg))
 	case msgReply:
-		c.complete(v.(replyFrame).reqID, c.wireResultOf(v.(replyFrame)))
-	case msgBatchReply:
-		for _, rep := range v.([]replyFrame) {
+		for _, rep := range v.(*replyMsg).replies {
 			c.complete(rep.reqID, c.wireResultOf(rep))
 		}
 	case msgRevoke:
@@ -1357,7 +1342,7 @@ func (c *Conn) wireResultOf(rep replyFrame) wireResult {
 // serveInvoke runs one inbound call on a local export and builds its
 // reply. Every failure — unknown export, argument decode, callee error,
 // unencodable results — lands in the reply's own status, which is what
-// gives batched calls per-call error isolation for free.
+// gives the calls of one frame per-call error isolation for free.
 //
 // argsDone releases the caller's hold on the inbound frame buffer that
 // f.args aliases; serveInvoke calls it exactly once, the moment the
@@ -1365,7 +1350,7 @@ func (c *Conn) wireResultOf(rep replyFrame) wireResult {
 // buffer must never stay pinned for the duration of the callee.
 func (c *Conn) serveInvoke(f invokeFrame, argsDone func()) replyFrame {
 	errRep := func(kind byte, class, msg string) replyFrame {
-		return replyFrame{reqID: f.reqID, status: statusErr, kind: kind, class: class, msg: msg}
+		return replyFrame{reqID: f.reqID, status: statusErr, kind: kind, class: clipErrText(class), msg: clipErrText(msg)}
 	}
 	c.mu.Lock()
 	var cap *core.Capability
@@ -1446,20 +1431,18 @@ func (c *Conn) serveInvoke(f invokeFrame, argsDone func()) replyFrame {
 	return replyFrame{reqID: f.reqID, status: statusOK, body: resFb.b, bodyBuf: resFb}
 }
 
-// batchRun is the shared state of one inbound invoke frame — a lone
-// msgInvoke or a msgBatchInvoke — and callJob one call's slot in it.
+// batchRun is the shared state of one inbound msgInvoke frame, and
+// callJob one call's slot in it.
 type batchRun struct {
-	c       *Conn
-	batched bool      // a msgBatchInvoke frame: reply with msgBatchReply
-	fb      *frameBuf // the frame the calls' argument streams alias
-	calls   []invokeFrame
-	jobs    []callJob
+	c     *Conn
+	fb    *frameBuf // the frame the calls' argument streams alias
+	calls []invokeFrame
+	jobs  []callJob
 	// undecoded counts calls whose argument stream still aliases fb;
 	// unserved counts calls still running — the last one out replies.
 	undecoded, unserved atomic.Int32
-	// Inline storage for a lone call: a msgInvoke frame allocates the
+	// Inline storage for a lone call's job: a one-call frame allocates the
 	// batchRun and nothing else.
-	one    [1]invokeFrame
 	oneJob [1]callJob
 }
 
@@ -1492,14 +1475,11 @@ func (b *batchRun) argsDone() {
 // replies, so no goroutine waits on the frame. The frame buffer rides
 // along (the calls' args alias it) until every argument stream is
 // decoded.
-func (c *Conn) serveFrame(fb *frameBuf, t byte, v any) {
-	b := &batchRun{c: c, batched: t == msgBatchInvoke, fb: fb}
-	if b.batched {
-		b.calls = v.([]invokeFrame)
+func (c *Conn) serveFrame(fb *frameBuf, inv *invokeMsg) {
+	b := &batchRun{c: c, fb: fb, calls: inv.calls}
+	b.jobs = b.oneJob[:]
+	if len(b.calls) > 1 {
 		b.jobs = make([]callJob, len(b.calls))
-	} else {
-		b.one[0] = v.(invokeFrame)
-		b.calls, b.jobs = b.one[:], b.oneJob[:]
 	}
 	b.undecoded.Store(int32(len(b.calls)))
 	b.unserved.Store(int32(len(b.calls)))
@@ -1510,10 +1490,12 @@ func (c *Conn) serveFrame(fb *frameBuf, t byte, v any) {
 	}
 }
 
-// reply writes the frame's replies: a msgReply for a lone call, chunked
-// msgBatchReply frames with per-call status for a batch — one faulting
-// call never poisons its batch. Every pooled result buffer is released
-// once its frame is written (or abandoned on a dead connection).
+// reply writes the frame's replies as msgReply frames with per-call
+// status — one faulting call never poisons its frame — chunked by size so
+// large result sets cannot overflow one frame. Reply headers build in a
+// pooled buffer and result streams ride as their own segments of the
+// vectored write. Every pooled result buffer is released once its frame
+// is written (or abandoned on a dead connection).
 func (b *batchRun) reply() {
 	c := b.c
 	defer func() {
@@ -1523,37 +1505,6 @@ func (b *batchRun) reply() {
 			}
 		}
 	}()
-	if !b.batched {
-		rep := b.jobs[0].rep
-		hb := getFrame(32)
-		w := wbuf{b: hb.b}
-		w.u8(msgReply)
-		w.uvarint(rep.reqID)
-		var err error
-		if rep.status == statusOK {
-			// Header and result stream go down as separate segments of
-			// one vectored write; the result buffer never gets copied into
-			// the frame.
-			w.u8(statusOK)
-			hb.b = w.b
-			err = c.sendSegments(hb.b, rep.body)
-		} else {
-			appendReplyBody(&w, rep, false)
-			hb.b = w.b
-			err = c.send(hb.b)
-		}
-		hb.release()
-		if err != nil && rep.status == statusOK {
-			// An unsendable success must still answer, or the caller hangs.
-			c.replyErr(rep.reqID, errKindProtocol, "", "send results: "+err.Error())
-		}
-		return
-	}
-
-	// Chunk the batch reply by size so large result sets cannot overflow
-	// one frame; each chunk is a valid msgBatchReply. Reply headers build
-	// in a pooled buffer and result streams ride as their own segments of
-	// the vectored write.
 	jobs := b.jobs
 	for start := 0; start < len(jobs); {
 		end, size := start, 0
@@ -1568,53 +1519,32 @@ func (b *batchRun) reply() {
 		}
 		hb := getFrame(32 * (end - start))
 		w := wbuf{b: hb.b}
-		w.u8(msgBatchReply)
+		w.u8(msgReply)
 		w.uvarint(uint64(end - start))
-		cuts := make([]int, end-start)
-		for i := range jobs[start:end] {
-			rep := &jobs[start+i].rep
-			w.uvarint(rep.reqID)
-			w.u8(rep.status)
-			if rep.status == statusOK {
-				w.uvarint(uint64(len(rep.body)))
-			} else {
-				w.u8(rep.kind)
-				w.str(rep.class)
-				w.str(rep.msg)
-			}
-			cuts[i] = len(w.b)
+		var cutBuf [8]int
+		cuts := cutBuf[:0]
+		for i := start; i < end; i++ {
+			appendReplyHeader(&w, &jobs[i].rep)
+			cuts = append(cuts, len(w.b))
 		}
 		hb.b = w.b
-		segs := make([][]byte, 0, 2*(end-start))
+		var segBuf [16][]byte
+		segs := segBuf[:0]
 		prev := 0
-		for i := range jobs[start:end] {
-			rep := &jobs[start+i].rep
-			segs = append(segs, hb.b[prev:cuts[i]])
-			if rep.status == statusOK && len(rep.body) > 0 {
-				segs = append(segs, rep.body)
+		for i, cut := range cuts {
+			segs = append(segs, hb.b[prev:cut])
+			if body := jobs[start+i].rep.body; len(body) > 0 {
+				segs = append(segs, body)
 			}
-			prev = cuts[i]
+			prev = cut
 		}
-		err := c.sendSegments(segs...)
+		// Every entry fits a frame (serveInvoke bounds result streams and
+		// error text), so a failed write is a broken socket: fault the
+		// connection, which fails the caller's pending calls on its side.
+		c.sendOrFault(segs...)
 		hb.release()
-		if err != nil {
-			// The connection is going down; pending completions fail
-			// through shutdown, so there is nobody left to answer.
-			return
-		}
 		start = end
 	}
-}
-
-func (c *Conn) replyErr(reqID uint64, kind byte, class, msg string) {
-	var w wbuf
-	w.u8(msgReply)
-	w.uvarint(reqID)
-	w.u8(statusErr)
-	w.u8(kind)
-	w.str(class)
-	w.str(msg)
-	c.sendOrFault(w.b)
 }
 
 // parkedRevoke is a pushed revocation waiting for its import: the frame
@@ -1822,6 +1752,19 @@ func (c *Conn) handleLookupReply(f lookupReplyFrame) {
 }
 
 // --- error mapping ---------------------------------------------------------
+
+// maxErrText bounds the class and the message text one error reply
+// carries. Callee error text is arbitrary; uncapped, one longer than
+// maxFrame would make its reply unsendable and leave the caller waiting.
+const maxErrText = 64 << 10
+
+// clipErrText cuts s to maxErrText bytes, noting how much it dropped.
+func clipErrText(s string) string {
+	if len(s) <= maxErrText {
+		return s
+	}
+	return fmt.Sprintf("%s... (truncated %d bytes)", s[:maxErrText], len(s)-maxErrText)
+}
 
 // encodeWireErr maps a local invocation failure onto the wire.
 func encodeWireErr(err error) (kind byte, class, msg string) {

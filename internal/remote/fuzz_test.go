@@ -45,59 +45,46 @@ func seedFrames() [][]byte {
 	var frames [][]byte
 	add := func(w *wbuf) { frames = append(frames, w.b) }
 
-	// Single invoke, untraced (flags byte zero).
-	w := &wbuf{}
-	w.u8(msgInvoke)
-	w.uvarint(1)
-	w.uvarint(0)
-	w.str("Echo")
-	w.u8(0)
-	w.raw(args)
-	add(w)
+	// Invoke frames: a lone untraced call (flags byte zero), a lone call
+	// carrying a trace context, and traced and untraced calls mixed.
+	invoke := func(calls ...batchedCall) {
+		w := &wbuf{}
+		w.u8(msgInvoke)
+		w.uvarint(uint64(len(calls)))
+		for i := range calls {
+			appendCallHeader(w, &calls[i])
+			w.raw(calls[i].args)
+		}
+		add(w)
+	}
+	invoke(batchedCall{reqID: 1, method: "Echo", args: args})
+	invoke(batchedCall{reqID: 1, method: "Echo", traceID: 0xdeadbeefcafe, parentSpan: 42, args: args})
+	invoke(
+		batchedCall{reqID: 2, method: "Null"},
+		batchedCall{reqID: 3, exportID: 1, method: "Sum", traceID: 0xfeedface, parentSpan: 7, args: args},
+		batchedCall{reqID: 4, method: "Echo", args: args},
+	)
 
-	// Single invoke carrying a trace context.
-	w = &wbuf{}
-	w.u8(msgInvoke)
-	w.uvarint(1)
-	w.uvarint(0)
-	w.str("Echo")
-	appendTrace(w, 0xdeadbeefcafe, 42)
-	w.raw(args)
-	add(w)
-
-	// Batched invoke, traced and untraced calls mixed.
-	w = &wbuf{}
-	w.u8(msgBatchInvoke)
-	w.uvarint(3)
-	appendBatchCall(w, 2, 0, "Null", 0, 0, nil)
-	appendBatchCall(w, 3, 1, "Sum", 0xfeedface, 7, args)
-	appendBatchCall(w, 4, 0, "Echo", 0, 0, args)
-	add(w)
-
-	// Replies: success and error.
-	w = &wbuf{}
-	w.u8(msgReply)
-	w.uvarint(1)
-	appendReplyBody(w, replyFrame{reqID: 1, status: statusOK, body: results}, false)
-	add(w)
-	w = &wbuf{}
-	w.u8(msgReply)
-	w.uvarint(2)
-	appendReplyBody(w, replyFrame{reqID: 2, status: statusErr, kind: errKindRevoked, msg: "gone"}, false)
-	add(w)
-
-	// Batched reply with mixed per-call status.
-	w = &wbuf{}
-	w.u8(msgBatchReply)
-	w.uvarint(2)
-	w.uvarint(3)
-	appendReplyBody(w, replyFrame{status: statusOK, body: results}, true)
-	w.uvarint(4)
-	appendReplyBody(w, replyFrame{status: statusErr, kind: errKindRemote, class: "panic", msg: "boom"}, true)
-	add(w)
+	// Reply frames: a lone success, a lone error, and mixed per-call status.
+	reply := func(reps ...replyFrame) {
+		w := &wbuf{}
+		w.u8(msgReply)
+		w.uvarint(uint64(len(reps)))
+		for i := range reps {
+			appendReplyHeader(w, &reps[i])
+			w.raw(reps[i].body)
+		}
+		add(w)
+	}
+	reply(replyFrame{reqID: 1, status: statusOK, body: results})
+	reply(replyFrame{reqID: 2, status: statusErr, kind: errKindRevoked, msg: "gone"})
+	reply(
+		replyFrame{reqID: 3, status: statusOK, body: results},
+		replyFrame{reqID: 4, status: statusErr, kind: errKindRemote, class: "panic", msg: "boom"},
+	)
 
 	// Revocation push.
-	w = &wbuf{}
+	w := &wbuf{}
 	w.u8(msgRevoke)
 	w.uvarint(5)
 	w.u8(revokeReasonTerminated)
@@ -207,6 +194,15 @@ func seedFrames() [][]byte {
 	return frames
 }
 
+// badTraceFrames are one-call invoke frames with a malformed trace block:
+// an unknown flags value, a set trace flag with a zero trace id, and a
+// trace block truncated before the parent span.
+var badTraceFrames = [][]byte{
+	{msgInvoke, 1, 1, 0, 4, 'E', 'c', 'h', 'o', 0xff},
+	{msgInvoke, 1, 1, 0, 4, 'E', 'c', 'h', 'o', 1, 0, 9},
+	{msgInvoke, 1, 1, 0, 4, 'E', 'c', 'h', 'o', 1, 7},
+}
+
 // FuzzDecodeFrame drives arbitrary bytes through the full inbound decode
 // surface: the frame parsers (decodeFrame, exactly what conn.dispatch
 // runs) and, for frames that carry them, the seri argument/result
@@ -218,9 +214,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	// Malformed trace blocks seed the corpus too: the fuzzer mutates from
 	// the rejection paths as well as the happy ones.
-	f.Add([]byte{msgInvoke, 1, 0, 4, 'E', 'c', 'h', 'o', 0xff})
-	f.Add([]byte{msgInvoke, 1, 0, 4, 'E', 'c', 'h', 'o', 1, 0, 9})
-	f.Add([]byte{msgBatchInvoke, 1, 2, 0, 4, 'N', 'u', 'l', 'l', 1, 7})
+	for _, frame := range badTraceFrames {
+		f.Add(frame)
+	}
 	// Malformed handoff frames: unknown kind, an offer with no origin
 	// address, and a redeem truncated mid-ticket. Each must be rejected
 	// (faulting the connection), never panic.
@@ -236,17 +232,11 @@ func FuzzDecodeFrame(f *testing.F) {
 		// Follow the dispatch path into the embedded seri streams.
 		switch typ {
 		case msgInvoke:
-			_, _ = seri.UnmarshalExt(reg, v.(invokeFrame).args, fuzzWireExt{})
-		case msgBatchInvoke:
-			for _, call := range v.([]invokeFrame) {
+			for _, call := range v.(*invokeMsg).calls {
 				_, _ = seri.UnmarshalExt(reg, call.args, fuzzWireExt{})
 			}
 		case msgReply:
-			if rep := v.(replyFrame); rep.status == statusOK {
-				_, _ = seri.UnmarshalExt(reg, rep.body, fuzzWireExt{})
-			}
-		case msgBatchReply:
-			for _, rep := range v.([]replyFrame) {
+			for _, rep := range v.(*replyMsg).replies {
 				if rep.status == statusOK {
 					_, _ = seri.UnmarshalExt(reg, rep.body, fuzzWireExt{})
 				}
@@ -277,19 +267,18 @@ func TestMalformedFrameFaultsConnection(t *testing.T) {
 	}
 	defer ln.Close()
 
-	// Raw client: a well-framed payload of garbage (bad message type, then
-	// a truncated batch on a second connection).
-	for _, garbage := range [][]byte{
+	// Raw client: each well-framed payload of garbage on its own
+	// connection — a bad message type, a count overrunning its frame, a
+	// truncated reply, the malformed trace blocks, and a lone call and
+	// reply in the retired single-call types 1 and 2.
+	frames := [][]byte{
 		{0xff, 0x01, 0x02},
-		{msgBatchInvoke, 0xce, 0xff, 0xff}, // count overruns frame
-		{msgReply},                         // truncated
-		// Malformed trace blocks: unknown flags value, a set trace flag
-		// with a zero trace id, and a trace block truncated before the
-		// parent span. Each must fault the connection, never panic.
-		{msgInvoke, 1, 0, 4, 'E', 'c', 'h', 'o', 0xff},
-		{msgInvoke, 1, 0, 4, 'E', 'c', 'h', 'o', 1, 0, 9},
-		{msgInvoke, 1, 0, 4, 'E', 'c', 'h', 'o', 1, 7},
-	} {
+		{msgInvoke, 0xce, 0xff, 0xff},
+		{msgReply},
+		{1, 1, 0, 4, 'E', 'c', 'h', 'o', 0},
+		{2, 1, statusOK},
+	}
+	for _, garbage := range append(frames, badTraceFrames...) {
 		nc, err := net.Dial("unix", sock)
 		if err != nil {
 			t.Fatal(err)

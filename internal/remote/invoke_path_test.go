@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"math"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -10,15 +11,18 @@ import (
 	"jkernel/internal/core"
 )
 
-// frameCounts reads k's invoke/reply frame counters, by message name.
+// frameCounts reads k's invoke/reply frame counters, by message name, and
+// its batch occupancy histogram: invoke frames sent ("occupancy.frames")
+// and the calls they carried ("occupancy.calls").
 func frameCounts(k *core.Kernel) map[string]int64 {
+	reg := k.Telemetry()
 	out := map[string]int64{}
-	for _, name := range []string{
-		"frames_out.invoke", "frames_out.batch_invoke", "frames_in.reply", "frames_in.batch_reply",
-		"frames_in.invoke", "frames_in.batch_invoke", "frames_out.reply", "frames_out.batch_reply",
-	} {
-		out[name] = k.Telemetry().Counter("remote." + name).Value()
+	for _, name := range []string{"frames_out.invoke", "frames_in.reply", "frames_in.invoke", "frames_out.reply"} {
+		out[name] = reg.Counter("remote." + name).Value()
 	}
+	occ := reg.Histogram("remote.batch.occupancy")
+	out["occupancy.frames"] = occ.Count()
+	out["occupancy.calls"] = int64(math.Round(occ.Mean() * float64(occ.Count())))
 	return out
 }
 
@@ -53,9 +57,9 @@ func wantFrames(t *testing.T, what string, got, want map[string]int64) {
 }
 
 // Sync and async calls share one invoke path, and it must keep the wire
-// shapes: a lone sync call is one msgInvoke answered by one msgReply,
-// calls flushed together leave as one msgBatchInvoke answered by one
-// msgBatchReply, and a traced sync call still carries its trace block to
+// shapes: a lone sync call is one msgInvoke carrying one call, answered by
+// one msgReply; calls flushed together leave in one msgInvoke answered by
+// one msgReply; and a traced sync call still carries its trace block to
 // the serving kernel's span.
 func TestInvokeFrameShapes(t *testing.T) {
 	p := newPair(t)
@@ -70,13 +74,13 @@ func TestInvokeFrameShapes(t *testing.T) {
 		t.Fatalf("sync Echo: %#v %v", res, err)
 	}
 	wantFrames(t, "client, lone sync call", frameDelta(p.client, cBefore),
-		map[string]int64{"frames_out.invoke": 1, "frames_in.reply": 1})
+		map[string]int64{"frames_out.invoke": 1, "frames_in.reply": 1, "occupancy.frames": 1, "occupancy.calls": 1})
 	wantFrames(t, "server, lone sync call", frameDelta(p.server, sBefore),
 		map[string]int64{"frames_in.invoke": 1, "frames_out.reply": 1})
 
 	// Park the flusher on the frame-write lock with one call in hand, so
-	// the next k calls all queue behind it and leave together: one lone
-	// frame, then one batch.
+	// the next k calls all queue behind it and leave together: a one-call
+	// frame, then one frame of k calls.
 	const k = 5
 	cBefore, sBefore = frameCounts(p.client), frameCounts(p.server)
 	p.conn.wmu.Lock()
@@ -98,9 +102,9 @@ func TestInvokeFrameShapes(t *testing.T) {
 		}
 	}
 	wantFrames(t, "client, batched async calls", frameDelta(p.client, cBefore),
-		map[string]int64{"frames_out.invoke": 1, "frames_in.reply": 1, "frames_out.batch_invoke": 1, "frames_in.batch_reply": 1})
+		map[string]int64{"frames_out.invoke": 2, "frames_in.reply": 2, "occupancy.frames": 2, "occupancy.calls": 1 + k})
 	wantFrames(t, "server, batched async calls", frameDelta(p.server, sBefore),
-		map[string]int64{"frames_in.invoke": 1, "frames_out.reply": 1, "frames_in.batch_invoke": 1, "frames_out.batch_reply": 1})
+		map[string]int64{"frames_in.invoke": 2, "frames_out.reply": 2})
 
 	tc := p.task.BeginTrace()
 	defer p.task.EndTrace()
@@ -109,7 +113,7 @@ func TestInvokeFrameShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantFrames(t, "client, traced sync call", frameDelta(p.client, cBefore),
-		map[string]int64{"frames_out.invoke": 1, "frames_in.reply": 1})
+		map[string]int64{"frames_out.invoke": 1, "frames_in.reply": 1, "occupancy.frames": 1, "occupancy.calls": 1})
 	clientSpans := map[uint64]bool{}
 	for _, s := range p.client.Tracer().TraceSpans(tc.TraceID) {
 		if s.Kind == "client" {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -217,6 +218,58 @@ func TestRemoteErrors(t *testing.T) {
 	// Unknown export name fails the import.
 	if _, err := p.conn.Import("missing"); err == nil {
 		t.Fatal("import of unexported name succeeded")
+	}
+}
+
+// hugeErrSvc fails with a message longer than one frame can carry.
+type hugeErrSvc struct{}
+
+func (hugeErrSvc) Fail() error { return errors.New(strings.Repeat("x", maxFrame+1<<20)) }
+
+// A callee error too big for one frame still answers its caller — sync
+// and async — as a RemoteError with clipped text, and the connection
+// keeps serving.
+func TestOversizedErrorReplyDoesNotHang(t *testing.T) {
+	p := newPair(t)
+	p.export(t, "huge", hugeErrSvc{})
+	p.export(t, "echo", echoSvc{})
+	huge, err := p.conn.Import("huge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	echo, err := p.conn.Import("echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantClipped := func(what string, err error) {
+		t.Helper()
+		var re *core.RemoteError
+		if !errors.As(err, &re) || len(re.Msg) > maxErrText+64 || !strings.HasPrefix(re.Msg, "xxxx") {
+			t.Fatalf("%s: want a clipped RemoteError, got %.200v", what, err)
+		}
+	}
+	syncErr := make(chan error, 1)
+	go func() {
+		_, err := huge.InvokeFrom(p.task, "Fail")
+		syncErr <- err
+	}()
+	select {
+	case err := <-syncErr:
+		wantClipped("sync call", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("sync call never answered")
+	}
+	fut := huge.InvokeAsyncFrom(p.task, "Fail")
+	p.conn.Flush()
+	select {
+	case <-fut.Done():
+		_, err := fut.Wait()
+		wantClipped("async call", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("async call never answered")
+	}
+	if res, err := echo.InvokeFrom(p.task, "Echo", "after"); err != nil || res[0] != any("after") {
+		t.Fatalf("Echo after the oversized error: %#v %v", res, err)
 	}
 }
 

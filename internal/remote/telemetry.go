@@ -30,10 +30,6 @@ func msgName(t byte) string {
 		return "ping"
 	case msgPong:
 		return "pong"
-	case msgBatchInvoke:
-		return "batch_invoke"
-	case msgBatchReply:
-		return "batch_reply"
 	case msgRelease:
 		return "release"
 	case msgManifest:

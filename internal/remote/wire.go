@@ -31,20 +31,23 @@ import (
 )
 
 // Message types.
+//
+// Type bytes 1 and 2 carried a single-call invoke and reply in builds
+// before every call went through the count-prefixed layout. They are
+// retired, never to be reused: a frame of either type decodes as an
+// unknown type and faults the connection.
 const (
-	msgInvoke      byte = 1 // reqID, exportID, method, args stream
-	msgReply       byte = 2 // reqID, status, results stream | error
 	msgRevoke      byte = 3 // exportID, reason
 	msgLookup      byte = 4 // reqID, name
 	msgLookupReply byte = 5 // reqID, status, handle, methods | error
 	msgPing        byte = 6 // reqID: liveness/readiness probe
 	msgPong        byte = 7 // reqID
-	// Batched invokes (the paper's Table 4 lesson applied to the wire):
-	// many pending small calls coalesce into one multi-invoke frame, and
-	// the reply carries per-call status so one faulting call cannot
-	// poison its batch.
-	msgBatchInvoke byte = 8 // count, then per call: reqID, exportID, method, argLen, args
-	msgBatchReply  byte = 9 // count, then per call: reqID, status, bodyLen+body | error
+	// Invokes and their replies (the paper's Table 4 lesson applied to the
+	// wire): pending calls coalesce into one frame — a lone call is a count
+	// of one — and the reply carries per-call status so one faulting call
+	// cannot poison its frame.
+	msgInvoke byte = 8 // count, then per call: reqID, exportID, method, trace block, argLen, args
+	msgReply  byte = 9 // count, then per call: reqID, status, bodyLen+body | error
 	// Capability lifecycle: imports release their wire references when the
 	// local proxy dies (explicit ReleaseProxy, local revocation, or a
 	// pushed revocation), and the export side drops its table entry when
@@ -255,14 +258,14 @@ func (r *rbuf) rest() []byte { return r.b[r.pos:] }
 // which is what FuzzDecodeFrame exercises: malformed input must return an
 // error (faulting the connection), never panic.
 
-// Trace block flags. Every invoke (single or batched call entry) carries
-// a one-byte flags field after the method name; traceFlagContext adds the
+// Trace block flags. Every call entry of an invoke frame carries a
+// one-byte flags field after the method name; traceFlagContext adds the
 // caller's trace id and parent span id, so a traced call chain stitches
 // across kernels. Unknown flag bits are a protocol error — the fuzz suite
 // holds decode to "error, never panic" here like everywhere else.
 const traceFlagContext byte = 1
 
-// invokeFrame is one decoded invocation request (single or batched).
+// invokeFrame is one decoded call of a msgInvoke frame.
 type invokeFrame struct {
 	reqID    uint64
 	exportID uint64
@@ -274,10 +277,18 @@ type invokeFrame struct {
 	args       []byte // seri stream, aliases the frame buffer
 }
 
-// replyFrame is one decoded invocation reply (single or batched). It
-// doubles as the outbound reply representation: serveInvoke encodes
-// result streams into a pooled buffer recorded in bodyBuf (nil on parsed
-// inbound frames), which the reply sender releases after the write.
+// invokeMsg is one decoded msgInvoke frame. A lone call, the common case,
+// lives in the inline slot, so decoding it allocates only the *invokeMsg
+// (and boxing the pointer into decodeFrame's result costs nothing).
+type invokeMsg struct {
+	calls []invokeFrame
+	one   [1]invokeFrame
+}
+
+// replyFrame is one call's entry in a msgReply frame. It doubles as the
+// outbound reply representation: serveInvoke encodes result streams into
+// a pooled buffer recorded in bodyBuf (nil on parsed inbound frames),
+// which the reply sender releases after the write.
 type replyFrame struct {
 	reqID   uint64
 	status  byte
@@ -286,6 +297,12 @@ type replyFrame struct {
 	class   string
 	msg     string
 	bodyBuf *frameBuf // outbound only: pooled owner of body
+}
+
+// replyMsg is one decoded msgReply frame, with invokeMsg's inline slot.
+type replyMsg struct {
+	replies []replyFrame
+	one     [1]replyFrame
 }
 
 // revokeFrame is a pushed revocation.
@@ -417,37 +434,21 @@ func appendTrace(w *wbuf, traceID, parentSpan uint64) {
 	w.uvarint(parentSpan)
 }
 
-func parseInvoke(r *rbuf) (invokeFrame, error) {
-	var f invokeFrame
-	var err error
-	if f.reqID, err = r.uvarint(); err != nil {
-		return f, err
-	}
-	if f.exportID, err = r.uvarint(); err != nil {
-		return f, err
-	}
-	if f.method, err = r.str(); err != nil {
-		return f, err
-	}
-	if err = parseTrace(r, &f); err != nil {
-		return f, err
-	}
-	f.args = r.rest()
-	return f, nil
-}
-
-// parseBatchInvoke decodes a multi-invoke frame. Per-call argument bytes
-// are length-prefixed (unlike the single-invoke frame, whose args run to
-// the end of the frame).
-func parseBatchInvoke(r *rbuf) ([]invokeFrame, error) {
+// parseInvoke decodes a msgInvoke frame: a call count, then each call's
+// header and length-prefixed argument bytes.
+func parseInvoke(r *rbuf) (*invokeMsg, error) {
 	n, err := r.count(5) // reqID + exportID + method len + trace flags + arg len, 1 byte each minimum
 	if err != nil {
 		return nil, err
 	}
 	if n == 0 {
-		return nil, r.fail("empty batch")
+		return nil, r.fail("empty invoke")
 	}
-	calls := make([]invokeFrame, 0, n)
+	m := &invokeMsg{}
+	m.calls = m.one[:0]
+	if n > 1 {
+		m.calls = make([]invokeFrame, 0, n)
+	}
 	for i := 0; i < n; i++ {
 		var f invokeFrame
 		if f.reqID, err = r.uvarint(); err != nil {
@@ -465,53 +466,28 @@ func parseBatchInvoke(r *rbuf) ([]invokeFrame, error) {
 		if f.args, err = r.bytes(); err != nil {
 			return nil, err
 		}
-		calls = append(calls, f)
+		m.calls = append(m.calls, f)
 	}
 	if len(r.rest()) != 0 {
-		return nil, r.fail("trailing bytes after batch")
+		return nil, r.fail("trailing bytes after invoke")
 	}
-	return calls, nil
+	return m, nil
 }
 
-// parseReplyError decodes the statusErr tail shared by reply flavors.
-func parseReplyError(r *rbuf, f *replyFrame) error {
-	var err error
-	if f.kind, err = r.u8(); err != nil {
-		return err
-	}
-	if f.class, err = r.str(); err != nil {
-		return err
-	}
-	f.msg, err = r.str()
-	return err
-}
-
-func parseReply(r *rbuf) (replyFrame, error) {
-	var f replyFrame
-	var err error
-	if f.reqID, err = r.uvarint(); err != nil {
-		return f, err
-	}
-	if f.status, err = r.u8(); err != nil {
-		return f, err
-	}
-	if f.status == statusOK {
-		f.body = r.rest()
-		return f, nil
-	}
-	return f, parseReplyError(r, &f)
-}
-
-// parseBatchReply decodes a multi-reply frame (per-call status).
-func parseBatchReply(r *rbuf) ([]replyFrame, error) {
+// parseReply decodes a msgReply frame (per-call status).
+func parseReply(r *rbuf) (*replyMsg, error) {
 	n, err := r.count(3) // reqID + status + 1 byte of payload minimum
 	if err != nil {
 		return nil, err
 	}
 	if n == 0 {
-		return nil, r.fail("empty batch reply")
+		return nil, r.fail("empty reply")
 	}
-	replies := make([]replyFrame, 0, n)
+	m := &replyMsg{}
+	m.replies = m.one[:0]
+	if n > 1 {
+		m.replies = make([]replyFrame, 0, n)
+	}
 	for i := 0; i < n; i++ {
 		var f replyFrame
 		if f.reqID, err = r.uvarint(); err != nil {
@@ -524,15 +500,23 @@ func parseBatchReply(r *rbuf) ([]replyFrame, error) {
 			if f.body, err = r.bytes(); err != nil {
 				return nil, err
 			}
-		} else if err = parseReplyError(r, &f); err != nil {
-			return nil, err
+		} else {
+			if f.kind, err = r.u8(); err != nil {
+				return nil, err
+			}
+			if f.class, err = r.str(); err != nil {
+				return nil, err
+			}
+			if f.msg, err = r.str(); err != nil {
+				return nil, err
+			}
 		}
-		replies = append(replies, f)
+		m.replies = append(m.replies, f)
 	}
 	if len(r.rest()) != 0 {
-		return nil, r.fail("trailing bytes after batch reply")
+		return nil, r.fail("trailing bytes after reply")
 	}
-	return replies, nil
+	return m, nil
 }
 
 func parseRevoke(r *rbuf) (revokeFrame, error) {
@@ -787,12 +771,8 @@ func decodeFrame(frame []byte) (byte, any, error) {
 	switch t {
 	case msgInvoke:
 		v, err = parseInvoke(r)
-	case msgBatchInvoke:
-		v, err = parseBatchInvoke(r)
 	case msgReply:
 		v, err = parseReply(r)
-	case msgBatchReply:
-		v, err = parseBatchReply(r)
 	case msgRevoke:
 		v, err = parseRevoke(r)
 	case msgLookup:
@@ -824,22 +804,16 @@ func decodeFrame(frame []byte) (byte, any, error) {
 
 // --- frame encoders ---------------------------------------------------------
 
-// appendBatchCallHeader appends one call's header (everything but the
-// argument bytes) to a msgBatchInvoke body. The vectored sender emits the
-// args as their own write segment, so the header declares the length and
-// the payload never moves.
-func appendBatchCallHeader(w *wbuf, reqID, exportID uint64, method string, traceID, parentSpan uint64, argLen int) {
-	w.uvarint(reqID)
-	w.uvarint(exportID)
-	w.str(method)
-	appendTrace(w, traceID, parentSpan)
-	w.uvarint(uint64(argLen))
-}
-
-// appendBatchCall appends one complete call to a msgBatchInvoke body.
-func appendBatchCall(w *wbuf, reqID, exportID uint64, method string, traceID, parentSpan uint64, args []byte) {
-	appendBatchCallHeader(w, reqID, exportID, method, traceID, parentSpan, len(args))
-	w.raw(args)
+// appendCallHeader appends one call's header (everything but the
+// argument bytes) to a msgInvoke body. The vectored sender emits the args
+// as their own write segment, so the header declares the length and the
+// payload never moves.
+func appendCallHeader(w *wbuf, call *batchedCall) {
+	w.uvarint(call.reqID)
+	w.uvarint(call.exportID)
+	w.str(call.method)
+	appendTrace(w, call.traceID, call.parentSpan)
+	w.uvarint(uint64(len(call.args)))
 }
 
 // appendReleaseEntry appends one entry to a msgRelease body.
@@ -849,20 +823,19 @@ func appendReleaseEntry(w *wbuf, e releaseEntry) {
 	w.uvarint(e.gen)
 }
 
-// appendReplyBody appends the status tail of f (everything after reqID)
-// to a reply frame; batched reply bodies length-prefix their payload.
-func appendReplyBody(w *wbuf, f replyFrame, batched bool) {
-	w.u8(f.status)
-	if f.status == statusOK {
-		if batched {
-			w.uvarint(uint64(len(f.body)))
-		}
-		w.raw(f.body)
+// appendReplyHeader appends one reply's header to a msgReply body: the
+// whole entry for an error, everything but the result bytes (which the
+// vectored sender emits as their own segment) for a success.
+func appendReplyHeader(w *wbuf, rep *replyFrame) {
+	w.uvarint(rep.reqID)
+	w.u8(rep.status)
+	if rep.status == statusOK {
+		w.uvarint(uint64(len(rep.body)))
 		return
 	}
-	w.u8(f.kind)
-	w.str(f.class)
-	w.str(f.msg)
+	w.u8(rep.kind)
+	w.str(rep.class)
+	w.str(rep.msg)
 }
 
 // appendPing encodes a ping or pong with the feature/advertise tail.
