@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,11 +24,11 @@ var connSeq atomic.Int64
 var ErrConnClosed = errors.New("remote: connection closed")
 
 // Conn is one kernel-to-kernel connection. It is symmetric: both ends can
-// export (answer lookups and invokes from the peer) and import (hold
-// proxies for peer capabilities). All proxies imported over the
-// connection are owned by a dedicated local domain, so a connection
-// teardown is a domain termination: every proxy faults, nothing else in
-// the kernel is disturbed.
+// export (serve the peer's invokes) and import (hold proxies for peer
+// capabilities). All proxies imported over the connection are owned by a
+// dedicated local domain, so a connection teardown is a domain
+// termination: every proxy faults, nothing else in the kernel is
+// disturbed.
 type Conn struct {
 	k      *core.Kernel
 	domain *core.Domain
@@ -39,8 +40,8 @@ type Conn struct {
 
 	mu            sync.Mutex
 	nextReq       uint64
-	pending       map[uint64]wireCompleter // reqID -> completion (wire round trip or invoke)
-	exports       map[uint64]*exportEntry  // export id -> refcounted local capability
+	pending       map[uint64]*pendingAsync // reqID -> the call awaiting its reply
+	exports       map[uint64]*exportEntry  // export id (from 1) -> refcounted local capability
 	exportIDs     map[*core.Gate]uint64    // dedup: gate -> export id
 	nextExport    uint64
 	imports       map[uint64]*importEntry // peer export id -> local proxy + receipt count
@@ -49,15 +50,16 @@ type Conn struct {
 	closed        bool
 	cause         error
 
-	// Peer identity for three-party handoff: the endpoint this side dialed
-	// (or the peer's advertised listen address from the ping tail) and the
-	// peer's announced feature mask. featKnown stays false against a
-	// pre-handoff peer, which pins every re-export to the relay path.
+	// Peer identity for three-party handoff: the endpoint this side dialed,
+	// or the listen address the peer advertised in its Hello.
 	peerNet, peerAddr string
-	peerFeatures      uint64
-	featKnown         bool
 	pendingHandoffs   map[uint64]parkedOffer // redeem offers that raced ahead of their relay import
 	releasedImports   map[uint64]time.Time   // fully-released ids; a revoke crossing the release is stale
+
+	// bootstrap is this side's bootstrap capability, served to the peer at
+	// export id 0; peerBootstrap is the route to the peer's (bootstrap.go).
+	bootstrap     *core.Capability
+	peerBootstrap *proxyTarget
 
 	// batch coalesces pending asynchronous invokes into multi-invoke
 	// frames, and import releases into msgRelease frames (see batch.go).
@@ -81,7 +83,7 @@ type Conn struct {
 	done chan struct{}
 }
 
-// wireResult is one decoded msgReply.
+// wireResult is one call's entry of a decoded msgReply.
 type wireResult struct {
 	results []any
 	copied  int64
@@ -105,9 +107,10 @@ func NewConn(k *core.Kernel, nc net.Conn) (*Conn, error) {
 		k:               k,
 		domain:          d,
 		nc:              nc,
-		pending:         make(map[uint64]wireCompleter),
+		pending:         make(map[uint64]*pendingAsync),
 		exports:         make(map[uint64]*exportEntry),
 		exportIDs:       make(map[*core.Gate]uint64),
+		nextExport:      1, // id 0 is the bootstrap capability
 		imports:         make(map[uint64]*importEntry),
 		preRevoked:      make(map[uint64]parkedRevoke),
 		pendingHandoffs: make(map[uint64]parkedOffer),
@@ -120,13 +123,19 @@ func NewConn(k *core.Kernel, nc net.Conn) (*Conn, error) {
 		return k.NewDetachedTask(d, "remote-call")
 	}
 	c.metrics = newConnMetrics(k, c)
+	//jk:allow(capleak) the bootstrap never crosses a domain boundary: only serveInvoke calls it, from the connection's own domain, and its manifests ([]string) leave by seri marshal onto the wire
+	if c.bootstrap, err = k.CreateNativeCapability(d, &bootstrap{c: c}); err != nil {
+		d.Terminate("remote connection setup failed")
+		return nil, err
+	}
+	c.peerBootstrap = &proxyTarget{conn: c, exportID: 0}
+	// Announce our listen endpoint and learn the peer's with one Hello.
+	// It is queued before the goroutines start, so it is always the
+	// connection's first request (id 1).
+	network, addr := advertised(k)
+	c.peerBootstrap.InvokeProxyAsync(core.ProxyCall{Method: "Hello", Args: []any{network, addr}}, helloDone{c})
 	go c.readLoop()
 	go c.batch.run()
-	// Announce our features (and learn the peer's) with one async probe.
-	// Until the pong lands, handoff minting toward this peer stays off and
-	// re-exports use the relay path; pre-handoff peers ignore the tail and
-	// see a plain ping.
-	go func() { _ = c.Ping(10 * time.Second) }()
 	return c, nil
 }
 
@@ -216,22 +225,6 @@ func (c *Conn) setDialTarget(network, addr string) {
 	c.mu.Unlock()
 }
 
-// recordPeer stores what a ping/pong tail announced: the peer's feature
-// mask and — when no dial target is known (inbound connections) — its
-// advertised listen address.
-func (c *Conn) recordPeer(f pingFrame) {
-	if !f.hasFeatures {
-		return
-	}
-	c.mu.Lock()
-	c.peerFeatures = f.features
-	c.featKnown = true
-	if c.peerAddr == "" && f.addr != "" {
-		c.peerNet, c.peerAddr = f.network, f.addr
-	}
-	c.mu.Unlock()
-}
-
 // Domain returns the connection's host domain (owner of its proxies).
 func (c *Conn) Domain() *core.Domain { return c.domain }
 
@@ -310,20 +303,6 @@ func (c *Conn) send(payload []byte) error {
 	return c.sendSegments(payload)
 }
 
-// sendOrFault writes one frame (as sendSegments) and routes a failed
-// write to the connection-fault path. It is the send for frame handlers
-// with nobody to hand an error back to (replies, manifests, lookup
-// answers): a reply that cannot reach the peer means the socket is
-// broken, and the connection must fault its imports rather than keep
-// running silently — the same policy sendReleases applies.
-//
-//jk:blocking
-func (c *Conn) sendOrFault(segs ...[]byte) {
-	if err := c.sendSegments(segs...); err != nil {
-		c.shutdown(fmt.Errorf("remote: reply write failed: %w", err))
-	}
-}
-
 // sendSegments frames and writes one message whose payload is the
 // concatenation of segs, as a single vectored write: the 4-byte length
 // header and every segment go down in one writev-style syscall
@@ -362,100 +341,6 @@ func (c *Conn) sendSegments(segs ...[]byte) error {
 	return err
 }
 
-// Ping performs one protocol round trip, proving the peer kernel is up
-// and serving. Dial-with-retry loops use it as a readiness probe: a
-// connection can land in the listen backlog of a process that is already
-// dying, and only an answered ping distinguishes the two.
-//
-//jk:blocking
-func (c *Conn) Ping(timeout time.Duration) error {
-	reqID, ch, err := c.newPending()
-	if err != nil {
-		return err
-	}
-	network, addr := advertised(c.k)
-	var w wbuf
-	appendPing(&w, msgPing, reqID, network, addr)
-	if err := c.send(w.b); err != nil {
-		c.dropPending(reqID)
-		return err
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case res := <-ch:
-		// A genuine pong carries no error; a shutdown racing the probe
-		// delivers the connection fault here, and both this case and
-		// <-c.done may be ready — the fault must win either way.
-		return res.err
-	case <-c.done:
-		return c.closedErr()
-	case <-timer.C:
-		c.dropPending(reqID)
-		return fmt.Errorf("remote: ping timeout after %v", timeout)
-	}
-}
-
-// Import asks the peer for the capability it exports under name and
-// returns a local proxy for it.
-func (c *Conn) Import(name string) (*core.Capability, error) {
-	reqID, ch, err := c.newPending()
-	if err != nil {
-		return nil, err
-	}
-	var w wbuf
-	w.u8(msgLookup)
-	w.uvarint(reqID)
-	w.str(name)
-	if err := c.send(w.b); err != nil {
-		c.dropPending(reqID)
-		return nil, err
-	}
-	select {
-	case res := <-ch:
-		if res.err != nil {
-			return nil, res.err
-		}
-		// results[0] carries the proxy smuggled through the lookup path.
-		cap, _ := res.results[0].(*core.Capability)
-		if cap == nil {
-			return nil, fmt.Errorf("remote: lookup %q returned no capability", name)
-		}
-		return cap, nil
-	case <-c.done:
-		return nil, c.closedErr()
-	}
-}
-
-// wireCompleter is a pending slot's completion callback. It runs at most
-// once — on the reader goroutine when the reply arrives, or on the
-// shutdown path — unless dropPending removes the slot first. It is an
-// interface (not a func) so the async hot path can register its pooled
-// per-call state without allocating a closure.
-type wireCompleter interface {
-	completeWire(res wireResult)
-}
-
-// chanCompleter adapts the synchronous wait-on-channel flavor, for the
-// wire's own round trips.
-type chanCompleter chan wireResult
-
-func (ch chanCompleter) completeWire(res wireResult) { ch <- res }
-
-// newPending registers a pending slot whose reply arrives on a channel.
-func (c *Conn) newPending() (uint64, chan wireResult, error) {
-	ch := make(chan wireResult, 1)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return 0, nil, c.causeLocked()
-	}
-	c.nextReq++
-	id := c.nextReq
-	c.pending[id] = chanCompleter(ch)
-	return id, ch, nil
-}
-
 func (c *Conn) dropPending(id uint64) {
 	c.mu.Lock()
 	delete(c.pending, id)
@@ -466,18 +351,12 @@ func (c *Conn) dropPending(id uint64) {
 // cancellation, or raced by shutdown) are ignored.
 func (c *Conn) complete(id uint64, res wireResult) {
 	c.mu.Lock()
-	pc := c.pending[id]
+	pa := c.pending[id]
 	delete(c.pending, id)
 	c.mu.Unlock()
-	if pc != nil {
-		pc.completeWire(res)
+	if pa != nil {
+		pa.completeWire(res)
 	}
-}
-
-func (c *Conn) closedErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.causeLocked()
 }
 
 func (c *Conn) causeLocked() error {
@@ -525,6 +404,17 @@ type importEntry struct {
 	// drops (unpinImport completes it).
 	pins   int
 	zombie bool
+}
+
+// exportedCap returns the live export under id, or nil.
+func (c *Conn) exportedCap(id uint64) *core.Capability {
+	c.mu.Lock()
+	e := c.exports[id]
+	c.mu.Unlock()
+	if e == nil {
+		return nil
+	}
+	return e.cap
 }
 
 // exportLocked registers cap in the export table (idempotent per gate),
@@ -649,7 +539,7 @@ func (c *Conn) dropExportRefsLocked(id, n uint64) (unhook func(), upstream *rela
 // would deadlock against the release path). created reports whether this
 // call minted the proxy, so a decode that fails mid-vector can release
 // exactly the entries nothing else will ever own. Caller holds c.mu.
-func (c *Conn) importLocked(id uint64, methods []string) (cap *core.Capability, pre error, created bool, err error) {
+func (c *Conn) importLocked(id uint64) (cap *core.Capability, pre error, created bool, err error) {
 	if e, ok := c.imports[id]; ok {
 		if !e.cap.Revoked() {
 			e.recv++
@@ -662,8 +552,7 @@ func (c *Conn) importLocked(id uint64, methods []string) (cap *core.Capability, 
 		// capability fault when its gate was severed.
 		c.batch.enqueueRelease(releaseEntry{exportID: id, count: e.recv, gen: e.gen})
 	}
-	pt := &proxyTarget{conn: c, exportID: id, methods: methods, fetched: methods != nil}
-	cap, err = c.k.CreateProxyCapability(c.domain, pt)
+	cap, err = c.k.CreateProxyCapability(c.domain, &proxyTarget{conn: c, exportID: id})
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -869,7 +758,7 @@ func (e *connExternal) DecodeExternal(h uint64) (any, error) {
 		}
 		return ent.cap, nil
 	}
-	cap, pre, created, err := c.importLocked(id, nil)
+	cap, pre, created, err := c.importLocked(id)
 	c.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -903,12 +792,19 @@ func proxyOf(cap *core.Capability) *proxyTarget {
 	return pt
 }
 
+// errNoExport marks a call the peer refused before dispatch because its
+// export table holds no entry under the call's id (errKindNoExport).
+// Callers see it inside core.ErrRevoked.
+var errNoExport = errors.New("unknown export")
+
 // staleRouteErr matches the one failure a superseded relay route
-// produces: the middleman answered "unknown export" because the
+// produces: the middleman refused the call as errKindNoExport because the
 // shortened route already released our reference there. The call was
-// rejected before dispatch, so reissuing it cannot double-execute.
+// rejected before dispatch, so reissuing it cannot double-execute. The
+// match is on the error kind, never on text: a callee error that merely
+// says "unknown export" ran, and must not run again.
 func staleRouteErr(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "unknown export")
+	return errors.Is(err, errNoExport)
 }
 
 // --- outbound invocation (proxy side) --------------------------------------
@@ -926,59 +822,13 @@ type proxyTarget struct {
 	// export" — a call that never executed, so it retries on next.
 	next atomic.Pointer[proxyTarget]
 
-	// The method manifest. Lookup-imported proxies are born with it;
-	// proxies imported inline (as arguments or results) fetch it lazily on
-	// the first ProxyMethods call — one msgManifest round trip, cached.
+	// The method manifest. Imports by name and redeemed handoffs get it
+	// with the capability; proxies imported inline (as arguments or
+	// results) fetch it lazily on the first ProxyMethods call — one
+	// Manifest call on the peer's bootstrap, cached.
 	mmu     sync.Mutex
 	methods []string
 	fetched bool
-}
-
-// ProxyMethods reports the remote method names, fetching the manifest
-// from the exporting kernel on first use for inline imports. A fetch that
-// fails (connection lost, export already dropped) reports no methods and
-// leaves the cache empty, so a transient failure does not poison a
-// later call.
-func (p *proxyTarget) ProxyMethods() []string {
-	p.mmu.Lock()
-	defer p.mmu.Unlock()
-	if p.fetched {
-		return p.methods
-	}
-	ms, err := p.conn.fetchManifest(p.exportID)
-	if err != nil {
-		return nil
-	}
-	p.methods = ms
-	p.fetched = true
-	return ms
-}
-
-// fetchManifest performs one manifest round trip for the peer's export.
-func (c *Conn) fetchManifest(exportID uint64) ([]string, error) {
-	reqID, ch, err := c.newPending()
-	if err != nil {
-		return nil, err
-	}
-	var w wbuf
-	w.u8(msgManifest)
-	w.uvarint(reqID)
-	w.uvarint(exportID)
-	if err := c.send(w.b); err != nil {
-		c.dropPending(reqID)
-		return nil, err
-	}
-	select {
-	case res := <-ch:
-		if res.err != nil {
-			return nil, res.err
-		}
-		// results[0] carries the manifest smuggled through the reply path.
-		ms, _ := res.results[0].([]string)
-		return ms, nil
-	case <-c.done:
-		return nil, c.closedErr()
-	}
 }
 
 // marshalVectorInto encodes an argument/result vector directly into fb —
@@ -1028,16 +878,37 @@ func (c *Conn) unmarshalVector(data []byte) ([]any, error) {
 //
 //jk:blocking
 func (p *proxyTarget) InvokeProxy(method string, args []any) ([]any, int64, error) {
-	var w waitCompleter
-	w.wg.Add(1)
-	p.InvokeProxyAsync(core.ProxyCall{Method: method, Args: args}, &w)
-	w.wg.Wait()
-	return w.results, w.copied, w.err
+	return p.call(0, method, args...)
 }
 
-// waitCompleter is InvokeProxy's core.AsyncCompleter.
+// call starts one invoke on p and waits for its completion: the shared
+// start-then-wait of InvokeProxy and the bootstrap calls. A positive
+// timeout bounds the wait: the call is then cancelled, so a late reply is
+// dropped, and call reports the timeout. Every other outcome, the
+// connection's loss included, arrives through the completion.
+//
+//jk:blocking
+func (p *proxyTarget) call(timeout time.Duration, method string, args ...any) ([]any, int64, error) {
+	w := &waitCompleter{done: make(chan struct{})}
+	cancel := p.InvokeProxyAsync(core.ProxyCall{Method: method, Args: args}, w)
+	var expired <-chan time.Time
+	if timeout > 0 {
+		timer := time.NewTimer(timeout)
+		defer timer.Stop()
+		expired = timer.C
+	}
+	select {
+	case <-w.done:
+		return w.results, w.copied, w.err
+	case <-expired:
+		cancel.CancelAsync()
+		return nil, 0, fmt.Errorf("remote: %s timed out after %v", method, timeout)
+	}
+}
+
+// waitCompleter is the core.AsyncCompleter of a caller that waits (call).
 type waitCompleter struct {
-	wg      sync.WaitGroup
+	done    chan struct{}
 	results []any
 	copied  int64
 	err     error
@@ -1045,14 +916,15 @@ type waitCompleter struct {
 
 func (w *waitCompleter) CompleteWire(results []any, copied int64, err error) {
 	w.results, w.copied, w.err = results, copied, err
-	w.wg.Done()
+	close(w.done)
 }
 
 // pendingAsync is the per-call state of one wire invoke, sync or async.
-// It is both the connection's pending-slot completion (completeWire, fired
-// on the reader goroutine) and the caller's cancel handle
-// (core.AsyncCanceler), so starting a call allocates this one struct where
-// it used to allocate a completion closure plus a cancel closure.
+// It is both the connection's pending slot (completeWire, fired on the
+// reader goroutine, or on the shutdown path) and the caller's cancel
+// handle (core.AsyncCanceler), so starting a call allocates this one
+// struct where it used to allocate a completion closure plus a cancel
+// closure.
 type pendingAsync struct {
 	p      *proxyTarget
 	call   core.ProxyCall
@@ -1149,14 +1021,16 @@ func (p *proxyTarget) InvokeProxyAsync(call core.ProxyCall, done core.AsyncCompl
 	c.mu.Lock()
 	if c.closed {
 		// A call interrupted by connection loss is a capability fault, the
-		// same as revocation, so callers need only one failure model.
+		// same as revocation, so callers need only one failure model. It
+		// also wraps ErrConnClosed, which Import and Ping have always
+		// reported on a closed connection.
 		err := c.causeLocked()
 		c.mu.Unlock()
 		rollback()
 		if argsBuf != nil {
 			argsBuf.release()
 		}
-		return fail(fmt.Errorf("%w: %v", core.ErrRevoked, err))
+		return fail(fmt.Errorf("%w: %w", core.ErrRevoked, err))
 	}
 	c.nextReq++
 	pa.reqID = c.nextReq
@@ -1287,36 +1161,8 @@ func (c *Conn) dispatch(fb *frameBuf) error {
 		return c.handleRevoke(f.exportID, f.reason)
 	case msgRelease:
 		return c.handleRelease(v.([]releaseEntry))
-	case msgManifest:
-		// Off the reader: a manifest of a re-exported proxy may itself
-		// need a wire round trip on another connection.
-		go c.handleManifest(v.(manifestFrame))
-	case msgManifestReply:
-		c.handleManifestReply(v.(manifestReplyFrame))
-	case msgLookup:
-		f := v.(lookupFrame)
-		go c.handleLookup(f.reqID, f.name)
-	case msgLookupReply:
-		c.handleLookupReply(v.(lookupReplyFrame))
-	case msgPing:
-		f := v.(pingFrame)
-		c.recordPeer(f)
-		network, addr := advertised(c.k)
-		var w wbuf
-		appendPing(&w, msgPong, f.reqID, network, addr)
-		return c.send(w.b)
-	case msgPong:
-		f := v.(pingFrame)
-		c.recordPeer(f)
-		c.complete(f.reqID, wireResult{})
 	case msgHandoff:
 		return c.handleHandoff(v.(handoffFrame))
-	case msgRedeem:
-		// Off the reader: redemption mints an export (and possibly a
-		// recursive offer on a third connection) and sends the reply.
-		go c.handleRedeem(v.(redeemFrame))
-	case msgRedeemReply:
-		c.handleRedeemReply(v.(redeemReplyFrame))
 	}
 	return nil
 }
@@ -1339,8 +1185,9 @@ func (c *Conn) wireResultOf(rep replyFrame) wireResult {
 	return res
 }
 
-// serveInvoke runs one inbound call on a local export and builds its
-// reply. Every failure — unknown export, argument decode, callee error,
+// serveInvoke runs one inbound call on a local export — or, for export
+// id 0, on the connection's bootstrap capability — and builds its reply.
+// Every failure — unknown export, argument decode, callee error,
 // unencodable results — lands in the reply's own status, which is what
 // gives the calls of one frame per-call error isolation for free.
 //
@@ -1352,15 +1199,13 @@ func (c *Conn) serveInvoke(f invokeFrame, argsDone func()) replyFrame {
 	errRep := func(kind byte, class, msg string) replyFrame {
 		return replyFrame{reqID: f.reqID, status: statusErr, kind: kind, class: clipErrText(class), msg: clipErrText(msg)}
 	}
-	c.mu.Lock()
-	var cap *core.Capability
-	if e := c.exports[f.exportID]; e != nil {
-		cap = e.cap
+	cap := c.bootstrap
+	if f.exportID != 0 {
+		cap = c.exportedCap(f.exportID)
 	}
-	c.mu.Unlock()
 	if cap == nil {
 		argsDone()
-		return errRep(errKindRevoked, "", fmt.Sprintf("unknown export %d", f.exportID))
+		return errRep(errKindNoExport, "", strconv.FormatUint(f.exportID, 10))
 	}
 	if cap.Stub != nil {
 		argsDone()
@@ -1540,8 +1385,11 @@ func (b *batchRun) reply() {
 		}
 		// Every entry fits a frame (serveInvoke bounds result streams and
 		// error text), so a failed write is a broken socket: fault the
-		// connection, which fails the caller's pending calls on its side.
-		c.sendOrFault(segs...)
+		// connection, which fails the caller's pending calls on its side,
+		// rather than keep running silently (as sendReleases does).
+		if err := c.sendSegments(segs...); err != nil {
+			c.shutdown(fmt.Errorf("remote: reply write failed: %w", err))
+		}
 		hb.release()
 		start = end
 	}
@@ -1650,107 +1498,6 @@ func (c *Conn) handleRelease(entries []releaseEntry) error {
 	return nil
 }
 
-// handleManifest answers a lazy manifest fetch out of the export table.
-func (c *Conn) handleManifest(f manifestFrame) {
-	c.mu.Lock()
-	var cap *core.Capability
-	if e := c.exports[f.exportID]; e != nil {
-		cap = e.cap
-	}
-	c.mu.Unlock()
-	var w wbuf
-	w.u8(msgManifestReply)
-	w.uvarint(f.reqID)
-	if cap == nil {
-		w.u8(statusErr)
-		w.u8(errKindRevoked)
-		w.str("")
-		w.str(fmt.Sprintf("unknown export %d", f.exportID))
-	} else {
-		methods := cap.Methods()
-		w.u8(statusOK)
-		w.uvarint(uint64(len(methods)))
-		for _, m := range methods {
-			w.str(m)
-		}
-	}
-	c.sendOrFault(w.b)
-}
-
-func (c *Conn) handleManifestReply(f manifestReplyFrame) {
-	res := wireResult{}
-	if f.status == statusOK {
-		res.results = []any{f.methods}
-	} else {
-		res.err = decodeWireErr(f.kind, f.class, f.msg)
-	}
-	c.complete(f.reqID, res)
-}
-
-// handleLookup answers an Import from the peer out of the kernel's export
-// table.
-func (c *Conn) handleLookup(reqID uint64, name string) {
-	cap := c.k.ExportedCapability(name)
-	if cap == nil {
-		c.replyLookupErr(reqID, errKindNotFound, fmt.Sprintf("no export named %q", name))
-		return
-	}
-	handle, _ := c.exportHandle(cap)
-	var w wbuf
-	w.u8(msgLookupReply)
-	w.uvarint(reqID)
-	w.u8(statusOK)
-	w.uvarint(handle)
-	methods := cap.Methods()
-	w.uvarint(uint64(len(methods)))
-	for _, m := range methods {
-		w.str(m)
-	}
-	c.sendOrFault(w.b)
-}
-
-func (c *Conn) replyLookupErr(reqID uint64, kind byte, msg string) {
-	var w wbuf
-	w.u8(msgLookupReply)
-	w.uvarint(reqID)
-	w.u8(statusErr)
-	w.u8(kind)
-	w.str("")
-	w.str(msg)
-	c.sendOrFault(w.b)
-}
-
-func (c *Conn) handleLookupReply(f lookupReplyFrame) {
-	res := wireResult{}
-	if f.status == statusOK {
-		id, kind := unpackHandle(f.handle)
-		var cap *core.Capability
-		var pre, ierr error
-		c.mu.Lock()
-		if kind == handleKindYours {
-			if e := c.exports[id]; e != nil {
-				cap = e.cap
-			} else {
-				ierr = fmt.Errorf("remote: unknown returning export %d", id)
-			}
-		} else {
-			cap, pre, _, ierr = c.importLocked(id, f.methods)
-		}
-		c.mu.Unlock()
-		if pre != nil {
-			cap.RevokeWithReason(pre)
-		}
-		if ierr != nil {
-			res.err = ierr
-		} else {
-			res.results = []any{cap}
-		}
-	} else {
-		res.err = decodeWireErr(f.kind, "", f.msg)
-	}
-	c.complete(f.reqID, res)
-}
-
 // --- error mapping ---------------------------------------------------------
 
 // maxErrText bounds the class and the message text one error reply
@@ -1793,8 +1540,8 @@ func decodeWireErr(kind byte, class, msg string) error {
 		return wrapSentinel(core.ErrDomainTerminated, msg)
 	case errKindNoMethod:
 		return wrapSentinel(core.ErrNoSuchMethod, msg)
-	case errKindNotFound:
-		return fmt.Errorf("remote: %s", msg)
+	case errKindNoExport:
+		return fmt.Errorf("%w (remote): %w %s", core.ErrRevoked, errNoExport, msg)
 	case errKindProtocol:
 		return fmt.Errorf("remote: protocol error: %s", msg)
 	default:
@@ -1828,7 +1575,7 @@ func (c *Conn) shutdown(cause error) {
 	c.closed = true
 	c.cause = cause
 	pending := c.pending
-	c.pending = make(map[uint64]wireCompleter)
+	c.pending = make(map[uint64]*pendingAsync)
 	imports := make([]*core.Capability, 0, len(c.imports))
 	for _, e := range c.imports {
 		imports = append(imports, e.cap)
@@ -1875,8 +1622,8 @@ func (c *Conn) shutdown(cause error) {
 	for _, cap := range imports {
 		cap.RevokeWithReason(fault)
 	}
-	for _, pc := range pending {
-		pc.completeWire(wireResult{err: fmt.Errorf("%w: connection lost mid-call: %v", core.ErrRevoked, cause)})
+	for _, pa := range pending {
+		pa.completeWire(wireResult{err: fmt.Errorf("%w: connection lost mid-call: %v", core.ErrRevoked, cause)})
 	}
 	c.domain.Terminate("remote connection closed")
 }

@@ -90,46 +90,39 @@ func seedFrames() [][]byte {
 	w.u8(revokeReasonTerminated)
 	add(w)
 
-	// Lookup and its replies.
-	w = &wbuf{}
-	w.u8(msgLookup)
-	w.uvarint(6)
-	w.str("counter")
-	add(w)
-	w = &wbuf{}
-	w.u8(msgLookupReply)
-	w.uvarint(6)
-	w.u8(statusOK)
-	w.uvarint(packHandle(9, handleKindTheirs))
-	w.uvarint(2)
-	w.str("Add")
-	w.str("Get")
-	add(w)
-	w = &wbuf{}
-	w.u8(msgLookupReply)
-	w.uvarint(7)
-	w.u8(statusErr)
-	w.u8(errKindNotFound)
-	w.str("")
-	w.str("no export named \"x\"")
-	add(w)
-
-	// Liveness probes: the bare legacy form and the feature-tailed form a
-	// handoff-capable build sends (features mask, advertised endpoint).
-	w = &wbuf{}
-	w.u8(msgPing)
-	w.uvarint(8)
-	add(w)
-	w = &wbuf{}
-	w.u8(msgPong)
-	w.uvarint(8)
-	add(w)
-	w = &wbuf{}
-	appendPing(w, msgPing, 8, "unix", "/tmp/origin.sock")
-	add(w)
-	w = &wbuf{}
-	appendPing(w, msgPong, 8, "tcp", "10.0.0.7:9090")
-	add(w)
+	// The wire's own round trips: calls on the peer's bootstrap
+	// capability (export id 0) and their answers, with the argument and
+	// result streams the live connection encodes.
+	stream := func(vals ...any) []byte {
+		b, err := seri.MarshalExt(reg, vals, fuzzWireExt{})
+		if err != nil {
+			panic(err)
+		}
+		return b
+	}
+	lookup := stream("counter")
+	invoke(batchedCall{reqID: 6, method: "Lookup", args: lookup})
+	invoke(batchedCall{reqID: 8, method: "Hello", args: stream("unix", "/tmp/origin.sock")})
+	invoke(
+		batchedCall{reqID: 10, method: "Manifest", args: stream(uint64(9))},
+		batchedCall{reqID: 12, method: "Redeem", args: stream(uint64(0xfeedc0ffee), uint64(9))},
+	)
+	manifest := []string{"Add", "Get"}
+	reply(replyFrame{reqID: 6, status: statusOK, body: stream(&fuzzRef{H: packHandle(9, handleKindTheirs)}, manifest)})
+	reply(replyFrame{reqID: 7, status: statusErr, kind: errKindRemote, class: "*errors.errorString", msg: "no export named \"x\""})
+	reply(replyFrame{reqID: 8, status: statusOK, body: stream("tcp", "10.0.0.7:9090")})
+	reply(
+		replyFrame{reqID: 10, status: statusOK, body: stream(manifest)},
+		replyFrame{reqID: 11, status: statusErr, kind: errKindNoExport, msg: "9"},
+	)
+	reply(
+		replyFrame{reqID: 12, status: statusOK, body: stream(uint64(14), manifest, false)},
+		replyFrame{reqID: 13, status: statusOK, body: stream(uint64(0), []string(nil), true)},
+	)
+	// Malformed argument streams on bootstrap calls: truncated, and not a
+	// seri stream at all. Each must fail its call, never panic.
+	invoke(batchedCall{reqID: 6, method: "Lookup", args: lookup[:len(lookup)-1]})
+	invoke(batchedCall{reqID: 12, method: "Redeem", args: []byte{0xff, 0x00, 0x7f}})
 
 	// Batched import releases (export id, receipt count, generation).
 	w = &wbuf{}
@@ -140,56 +133,10 @@ func seedFrames() [][]byte {
 	appendReleaseEntry(w, releaseEntry{exportID: 1 << 40, count: 7, gen: 300})
 	add(w)
 
-	// Lazy manifest fetch and its replies.
-	w = &wbuf{}
-	w.u8(msgManifest)
-	w.uvarint(10)
-	w.uvarint(9)
-	add(w)
-	w = &wbuf{}
-	w.u8(msgManifestReply)
-	w.uvarint(10)
-	w.u8(statusOK)
-	w.uvarint(2)
-	w.str("Add")
-	w.str("Get")
-	add(w)
-	w = &wbuf{}
-	w.u8(msgManifestReply)
-	w.uvarint(11)
-	w.u8(statusErr)
-	w.u8(errKindRevoked)
-	w.str("")
-	w.str("unknown export 9")
-	add(w)
-
-	// Three-party handoff: ticket registration, the offer relayed to the
-	// receiver, and the redeem exchange against the origin.
+	// Three-party handoff: ticket registration and the offer relayed to
+	// the receiver (the redeem is a bootstrap call, above).
 	frames = append(frames, encodeRegister(0xfeedc0ffee, 9))
 	frames = append(frames, encodeOffer(3, 9, 0xfeedc0ffee, "unix", "/tmp/origin.sock"))
-	w = &wbuf{}
-	w.u8(msgRedeem)
-	w.uvarint(12)
-	w.uvarint(0xfeedc0ffee)
-	w.uvarint(9)
-	add(w)
-	w = &wbuf{}
-	w.u8(msgRedeemReply)
-	w.uvarint(12)
-	w.u8(statusOK)
-	w.uvarint(14)
-	w.uvarint(2)
-	w.str("Add")
-	w.str("Get")
-	add(w)
-	w = &wbuf{}
-	w.u8(msgRedeemReply)
-	w.uvarint(13)
-	w.u8(statusErr)
-	w.u8(errKindNotFound)
-	w.str("")
-	w.str("unknown or expired handoff ticket")
-	add(w)
 
 	return frames
 }
@@ -217,12 +164,13 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, frame := range badTraceFrames {
 		f.Add(frame)
 	}
-	// Malformed handoff frames: unknown kind, an offer with no origin
-	// address, and a redeem truncated mid-ticket. Each must be rejected
-	// (faulting the connection), never panic.
+	// Malformed handoff frames: unknown kind and an offer with no origin
+	// address. Each must be rejected (faulting the connection), never
+	// panic.
 	f.Add([]byte{msgHandoff, 9, 1, 2})
 	f.Add([]byte{msgHandoff, handoffOffer, 3, 9, 5, 4, 'u', 'n', 'i', 'x', 0})
-	f.Add([]byte{msgRedeem, 12, 0xff})
+	// A Redeem call whose argument stream stops mid-ticket.
+	f.Add([]byte{msgInvoke, 1, 12, 0, 6, 'R', 'e', 'd', 'e', 'e', 'm', 0, 2, 0xff, 0xff})
 	reg := seri.NewRegistry()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, v, err := decodeFrame(data)
@@ -269,14 +217,25 @@ func TestMalformedFrameFaultsConnection(t *testing.T) {
 
 	// Raw client: each well-framed payload of garbage on its own
 	// connection — a bad message type, a count overrunning its frame, a
-	// truncated reply, the malformed trace blocks, and a lone call and
-	// reply in the retired single-call types 1 and 2.
+	// truncated reply, the malformed trace blocks, and one well-formed
+	// frame in each retired type: the single-call invoke and reply (1, 2),
+	// lookup and its reply (4, 5), ping and pong with the feature tail
+	// (6, 7), manifest and its reply (11, 12), redeem and its reply
+	// (14, 15).
 	frames := [][]byte{
 		{0xff, 0x01, 0x02},
 		{msgInvoke, 0xce, 0xff, 0xff},
 		{msgReply},
 		{1, 1, 0, 4, 'E', 'c', 'h', 'o', 0},
 		{2, 1, statusOK},
+		{4, 1, 4, 'e', 'c', 'h', 'o'},
+		{5, 1, statusOK, 2, 1, 4, 'E', 'c', 'h', 'o'},
+		{6, 1, 1, 0, 0},
+		{7, 1, 1, 0, 0},
+		{11, 1, 1},
+		{12, 1, statusOK, 1, 4, 'E', 'c', 'h', 'o'},
+		{14, 1, 9, 1},
+		{15, 1, statusOK, 2, 1, 4, 'E', 'c', 'h', 'o'},
 	}
 	for _, garbage := range append(frames, badTraceFrames...) {
 		nc, err := net.Dial("unix", sock)
@@ -287,14 +246,14 @@ func TestMalformedFrameFaultsConnection(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The server must close this connection (read eventually errors),
-		// not crash and not hang. Reads may first see the server-initiated
-		// feature-probe ping, so drain until the close lands.
+		// not crash and not hang. Reads may first see the server's Hello
+		// call, so drain until the close lands.
 		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 		buf := make([]byte, 4096)
 		for {
 			_, err := nc.Read(buf)
 			if err == nil {
-				continue // feature probe or similar chatter; keep draining
+				continue // the server's Hello or similar chatter; keep draining
 			}
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -17,13 +16,13 @@ import (
 // ticket — A's dialable address, A's export id, and a one-time nonce
 // registered with A — instead of settling for a relay in which every C
 // invoke transits B. C dials A (or reuses a pooled connection to it),
-// redeems the ticket for a fresh first-class export, and retargets its
-// existing proxy capability onto the direct route; the relay import is
-// then released, draining B's tables back to baseline. The relay path is
-// minted regardless and stays as the transparent fallback: an unreachable
-// origin, an expired ticket, or a peer that predates the handoff frames
-// (detected through the ping feature mask) just leaves the two-hop route
-// in place.
+// redeems the ticket for a fresh first-class export by calling Redeem on
+// A's bootstrap capability, and retargets its existing proxy capability
+// onto the direct route; the relay import is then released, draining B's
+// tables back to baseline. The relay path is minted regardless and stays
+// as the transparent fallback: an origin whose address is unknown or
+// unreachable, or an expired ticket, just leaves the two-hop route in
+// place.
 
 // Handoff pacing and table bounds. Tickets are one-time and TTL-pruned,
 // reusing the preRevoked flood discipline from the release-race
@@ -80,8 +79,8 @@ func stateOf(k *core.Kernel) *kernelState {
 }
 
 // Advertise records kernel k's dialable listen endpoint, announced to
-// peers in the ping/pong tail so re-exports of k's capabilities can be
-// shortened back to it. Listen and RunWorker call it automatically; call
+// peers in each connection's Hello so re-exports of k's capabilities can
+// be shortened back to it. Listen and RunWorker call it automatically; call
 // it directly only for hand-built listeners.
 func Advertise(k *core.Kernel, network, addr string) {
 	ks := stateOf(k)
@@ -179,9 +178,9 @@ func (ks *kernelState) takeTicket(nonce uint64) (ticket, bool) {
 }
 
 // originConn returns (dialing if needed) the kernel's pooled connection
-// to the origin at network/addr. The handshake includes a protocol ping,
-// so by the time a connection is handed out the peer's feature mask is
-// known. A pooled connection that died is replaced on the next call.
+// to the origin at network/addr. The handshake includes a Ping, so a
+// connection is handed out only once the origin has answered. A pooled
+// connection that died is replaced on the next call.
 func (ks *kernelState) originConn(k *core.Kernel, network, addr string) (*Conn, error) {
 	key := network + "!" + addr
 	ks.mu.Lock()
@@ -232,19 +231,6 @@ func (c *Conn) handoffCounter(name string) {
 	}
 }
 
-// handoffEligible reports whether handoff frames may be sent to this
-// connection's peer: the kernel has handoff enabled and the peer has
-// announced (via the ping tail) that it understands the new frames. An
-// unknown peer is treated as a pre-handoff build — relay only.
-func (c *Conn) handoffEligible() bool {
-	if !handoffEnabled(c.k) {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.featKnown && c.peerFeatures&featHandoff != 0
-}
-
 // relayRef records, on a relay export entry, where the re-exported proxy
 // came from: the upstream connection and the import entry (id +
 // generation) holding the middleman's wire references on the origin. When
@@ -258,21 +244,19 @@ type relayRef struct {
 }
 
 // originInfo is what a middleman needs to offer a handoff for a proxy on
-// this connection: the origin's dialable address and proof it speaks the
-// handoff frames.
+// this connection: the origin's dialable address ("" when unknown).
 type originInfo struct {
 	network string
 	addr    string
-	ok      bool
 }
 
 // relayInfo resolves the upstream side of re-exporting the proxy for
-// importID: the release linkage for the relay entry, and whether the
-// origin is offerable (address known, feature announced). The returned
-// relayRef holds one pin on the import entry — a caller that does not
-// hand it to a freshly created export entry must unpinImport it. Takes
-// c.mu itself — callers must not hold any connection lock, keeping
-// cross-connection lock order acyclic.
+// importID: the release linkage for the relay entry, and the origin's
+// address, which a handoff offer needs. The returned relayRef holds one
+// pin on the import entry — a caller that does not hand it to a freshly
+// created export entry must unpinImport it. Takes c.mu itself — callers
+// must not hold any connection lock, keeping cross-connection lock order
+// acyclic.
 func (c *Conn) relayInfo(importID uint64) (*relayRef, originInfo) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -282,17 +266,16 @@ func (c *Conn) relayInfo(importID uint64) (*relayRef, originInfo) {
 	}
 	e.pins++
 	rr := &relayRef{conn: c, importID: importID, gen: e.gen}
-	oi := originInfo{network: c.peerNet, addr: c.peerAddr}
-	oi.ok = c.featKnown && c.peerFeatures&featHandoff != 0 && oi.addr != ""
-	return rr, oi
+	return rr, originInfo{network: c.peerNet, addr: c.peerAddr}
 }
 
 // exportHandle encodes cap as a capability handle for this connection's
-// peer — the single choke point behind both the seri External hook and
-// lookup replies. A proxy going home travels as the peer's own export id
-// (not refcounted); everything else is exported here. When cap is a proxy
-// from ANOTHER connection — a re-export that would otherwise relay every
-// invoke through this kernel — the relay export still happens (it is the
+// peer — the single choke point behind the seri External hook, through
+// which every capability crosses the wire (Lookup results included). A
+// proxy going home travels as the peer's own export id (not refcounted);
+// everything else is exported here. When cap is a proxy from ANOTHER
+// connection — a re-export that would otherwise relay every invoke
+// through this kernel — the relay export still happens (it is the
 // fallback the receiver keeps if redemption fails), but a handoff ticket
 // is minted alongside it: registered with the origin over the proxy's own
 // connection, offered to the receiver over this one. On a FIFO stream the
@@ -308,7 +291,7 @@ func (c *Conn) exportHandle(cap *core.Capability) (handle uint64, refcounted boo
 	if pt != nil {
 		relay, oi = pt.conn.relayInfo(pt.exportID)
 	}
-	offerable := oi.ok && c.handoffEligible()
+	offerable := oi.addr != "" && handoffEnabled(c.k)
 	c.mu.Lock()
 	id, created := c.exportLocked(cap, relay)
 	c.mu.Unlock()
@@ -353,12 +336,7 @@ func (c *Conn) pruneHandoffsLocked(now time.Time) {
 func (c *Conn) handleHandoff(f handoffFrame) error {
 	switch f.kind {
 	case handoffRegister:
-		c.mu.Lock()
-		var cap *core.Capability
-		if e := c.exports[f.exportID]; e != nil {
-			cap = e.cap
-		}
-		c.mu.Unlock()
+		cap := c.exportedCap(f.exportID)
 		if cap == nil {
 			return nil // revoked or released under the middleman; redeem will fail anyway
 		}
@@ -386,53 +364,6 @@ func (c *Conn) handleHandoff(f handoffFrame) error {
 	return nil
 }
 
-// handleRedeem answers one ticket redemption at the origin, off the
-// reader goroutine (it may export a foreign proxy, which consults another
-// connection). The ticket is consumed either way; a gate revoked between
-// mint and redeem yields the capability fault, never a resurrected
-// export.
-func (c *Conn) handleRedeem(f redeemFrame) {
-	fail := func(kind byte, msg string) {
-		var w wbuf
-		w.u8(msgRedeemReply)
-		w.uvarint(f.reqID)
-		w.u8(statusErr)
-		w.u8(kind)
-		w.str("")
-		w.str(msg)
-		c.sendOrFault(w.b)
-	}
-	t, ok := stateOf(c.k).takeTicket(f.nonce)
-	if !ok || t.exportID != f.exportID {
-		fail(errKindNotFound, "unknown or expired handoff ticket")
-		return
-	}
-	if t.cap.Revoked() {
-		kind := byte(errKindRevoked)
-		if t.cap.Owner().Terminated() {
-			kind = errKindTerminated
-		}
-		fail(kind, "capability revoked before the handoff was redeemed")
-		return
-	}
-	id, ok := c.exportFreshHandle(t.cap)
-	if !ok {
-		fail(errKindNotFound, "handoff target not exportable on this connection")
-		return
-	}
-	methods := t.cap.Methods()
-	var w wbuf
-	w.u8(msgRedeemReply)
-	w.uvarint(f.reqID)
-	w.u8(statusOK)
-	w.uvarint(id)
-	w.uvarint(uint64(len(methods)))
-	for _, m := range methods {
-		w.str(m)
-	}
-	c.sendOrFault(w.b)
-}
-
 // exportFreshHandle exports cap under a brand-new id, bypassing the
 // per-gate dedup: a redeemed handoff needs an export whose refcount and
 // revocation push are independent of any direct import the peer already
@@ -452,7 +383,7 @@ func (c *Conn) exportFreshHandle(cap *core.Capability) (uint64, bool) {
 	if pt != nil {
 		relay, oi = pt.conn.relayInfo(pt.exportID)
 	}
-	offerable := oi.ok && c.handoffEligible()
+	offerable := oi.addr != "" && handoffEnabled(c.k)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -472,63 +403,6 @@ func (c *Conn) exportFreshHandle(cap *core.Capability) (uint64, bool) {
 	return id, true
 }
 
-// redeemGrant is a successful redemption: the origin's fresh export id
-// plus the prefetched method manifest (a shortened import never
-// lazy-fetches through the middleman).
-type redeemGrant struct {
-	exportID uint64
-	methods  []string
-}
-
-// sendRedeem performs one redeem round trip on the origin connection.
-func (c *Conn) sendRedeem(nonce, exportID uint64) (redeemGrant, error) {
-	reqID, ch, err := c.newPending()
-	if err != nil {
-		return redeemGrant{}, err
-	}
-	var w wbuf
-	w.u8(msgRedeem)
-	w.uvarint(reqID)
-	w.uvarint(nonce)
-	w.uvarint(exportID)
-	if err := c.send(w.b); err != nil {
-		c.dropPending(reqID)
-		return redeemGrant{}, err
-	}
-	timer := time.NewTimer(redeemReplyTimeout)
-	defer timer.Stop()
-	select {
-	case res := <-ch:
-		if res.err != nil {
-			return redeemGrant{}, res.err
-		}
-		g, _ := res.results[0].(redeemGrant)
-		return g, nil
-	case <-c.done:
-		return redeemGrant{}, c.closedErr()
-	case <-timer.C:
-		c.dropPending(reqID)
-		return redeemGrant{}, fmt.Errorf("remote: handoff redeem timed out after %v", redeemReplyTimeout)
-	}
-}
-
-func (c *Conn) handleRedeemReply(f redeemReplyFrame) {
-	res := wireResult{}
-	if f.status == statusOK {
-		res.results = []any{redeemGrant{exportID: f.exportID, methods: f.methods}}
-	} else {
-		res.err = decodeWireErr(f.kind, f.class, f.msg)
-	}
-	c.complete(f.reqID, res)
-}
-
-// isUnknownTicket matches the origin's not-yet-registered reply, the one
-// redeem failure worth a brief retry (the registration frame may still be
-// in flight on the middleman->origin connection).
-func isUnknownTicket(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "handoff ticket")
-}
-
 // redeemOffer is the receiver side of one handoff, run on its own
 // goroutine: dial (or reuse) the origin, trade the nonce for a fresh
 // export, adopt it as an import on the origin connection, retarget the
@@ -537,29 +411,32 @@ func isUnknownTicket(err error) bool {
 // path untouched — the capability keeps working, just unshortened.
 func (c *Conn) redeemOffer(f handoffFrame, cap *core.Capability, relayID, relayGen uint64) {
 	oc, err := stateOf(c.k).originConn(c.k, f.network, f.addr)
-	if err != nil || !oc.handoffEligible() {
+	if err != nil {
 		c.handoffCounter("remote.handoff.fallback")
 		return
 	}
 	var grant redeemGrant
 	for attempt := 0; ; attempt++ {
-		grant, err = oc.sendRedeem(f.nonce, f.exportID)
-		if err == nil || attempt >= redeemRetries || !isUnknownTicket(err) {
+		grant, err = oc.redeem(f.nonce, f.exportID)
+		// An unknown ticket is worth a brief retry: the registration frame
+		// may still be in flight on the middleman->origin connection.
+		if err != nil || !grant.unknownTicket || attempt >= redeemRetries {
 			break
 		}
 		time.Sleep(redeemRetryPause)
 	}
-	if err != nil {
-		if errors.Is(err, core.ErrRevoked) || errors.Is(err, core.ErrDomainTerminated) {
-			// The gate died between ticket mint and redeem: the redeeming
-			// import faults — the origin consumed the ticket without
-			// resurrecting the export, and the relay path is about to
-			// deliver the same push.
-			c.metrics.capFault(1)
-			cap.RevokeWithReason(err)
-			c.handoffCounter("remote.handoff.revoked")
-			return
-		}
+	if err != nil && oc.Err() == nil && (errors.Is(err, core.ErrRevoked) || errors.Is(err, core.ErrDomainTerminated)) {
+		// The gate died between ticket mint and redeem: the redeeming
+		// import faults — the origin consumed the ticket without
+		// resurrecting the export, and the relay path is about to deliver
+		// the same push. (A live origin connection tells this answer apart
+		// from the fault a lost connection delivers, which only falls back.)
+		c.metrics.capFault(1)
+		cap.RevokeWithReason(err)
+		c.handoffCounter("remote.handoff.revoked")
+		return
+	}
+	if err != nil || grant.unknownTicket {
 		c.handoffCounter("remote.handoff.fallback")
 		return
 	}

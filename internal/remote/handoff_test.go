@@ -108,22 +108,23 @@ func newTriple(t testing.TB) *triple {
 	return tr
 }
 
-// waitEligible blocks until every listed connection has completed its
-// feature handshake (offers are only minted toward announced peers).
-// Deliberately independent of SetHandoff, so disabled-path tests can
-// still synchronize on the handshake.
-func waitEligible(t testing.TB, conns ...*Conn) {
+// waitHello blocks until every listed connection's announcement — the
+// Hello NewConn queues as the connection's first request (id 1) — has
+// been answered, so the peers have swapped advertised endpoints and no
+// bootstrap call is left in flight to perturb a test's counts.
+func waitHello(t testing.TB, conns ...*Conn) {
 	t.Helper()
-	known := func(c *Conn) bool {
+	answered := func(c *Conn) bool {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return c.featKnown && c.peerFeatures&featHandoff != 0
+		_, waiting := c.pending[1]
+		return !waiting
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for _, c := range conns {
-		for !known(c) {
+		for !answered(c) {
 			if time.Now().After(deadline) {
-				t.Fatal("feature handshake never completed")
+				t.Fatal("Hello never answered")
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -188,7 +189,7 @@ func TestHandoffShortensReexport(t *testing.T) {
 	if err := tr.a.Export("origin-svc", svc); err != nil {
 		t.Fatal(err)
 	}
-	waitEligible(t, tr.ba, tr.bc)
+	waitHello(t, tr.ba, tr.bc)
 
 	cap := tr.relayImport(t)
 	if res, err := cap.InvokeFrom(tr.taskC, "Echo", "via-b"); err != nil || res[0] != any("via-b") {
@@ -240,7 +241,7 @@ func TestHandoffFallbackWhenOriginUnreachable(t *testing.T) {
 	if err := tr.a.Export("origin-svc", svc); err != nil {
 		t.Fatal(err)
 	}
-	waitEligible(t, tr.ba, tr.bc)
+	waitHello(t, tr.ba, tr.bc)
 
 	proxy, err := tr.ba.Import("origin-svc")
 	if err != nil {
@@ -290,7 +291,7 @@ func TestHandoffDisabledPinsRelay(t *testing.T) {
 	if err := tr.a.Export("origin-svc", svc); err != nil {
 		t.Fatal(err)
 	}
-	waitEligible(t, tr.ba, tr.bc)
+	waitHello(t, tr.ba, tr.bc)
 
 	cap := tr.relayImport(t)
 	if res, err := cap.InvokeFrom(tr.taskC, "Echo", "relay-only"); err != nil || res[0] != any("relay-only") {
@@ -332,7 +333,7 @@ func TestHandoffRevocationAcrossShortenedPath(t *testing.T) {
 			if err := tr.a.Export("origin-svc", svc); err != nil {
 				t.Fatal(err)
 			}
-			waitEligible(t, tr.ba, tr.bc)
+			waitHello(t, tr.ba, tr.bc)
 			cap := tr.relayImport(t)
 			if !relayOnly {
 				waitShortened(t, tr, cap)
@@ -391,7 +392,7 @@ func TestHandoffMidRedeemRevocationFaults(t *testing.T) {
 	if err := tr.a.Export("origin-svc", svc); err != nil {
 		t.Fatal(err)
 	}
-	waitEligible(t, tr.ba, tr.bc)
+	waitHello(t, tr.ba, tr.bc)
 
 	// Mint a ticket by hand at the origin, then revoke the gate before
 	// anyone redeems: the redeem must answer with the capability fault.
@@ -405,15 +406,16 @@ func TestHandoffMidRedeemRevocationFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := oc.sendRedeem(nonce, 7); !errors.Is(err, core.ErrRevoked) {
+	if _, err := oc.redeem(nonce, 7); !errors.Is(err, core.ErrRevoked) {
 		t.Fatalf("redeem of a revoked ticket: %v, want ErrRevoked", err)
 	}
 	if got := HandoffTableSizes(tr.a).Tickets; got != 0 {
 		t.Fatalf("consumed ticket still registered (%d left)", got)
 	}
-	// One-time semantics: the same nonce can never be redeemed twice.
-	if _, err := oc.sendRedeem(nonce, 7); err == nil {
-		t.Fatal("second redeem of a one-time ticket succeeded")
+	// One-time semantics: the same nonce can never be redeemed twice; the
+	// origin answers that it holds no such ticket.
+	if g, err := oc.redeem(nonce, 7); err != nil || !g.unknownTicket {
+		t.Fatalf("second redeem of a one-time ticket: %+v %v, want unknownTicket", g, err)
 	}
 }
 
@@ -431,7 +433,7 @@ func TestHandoffStressMintRedeemRevoke(t *testing.T) {
 	if err := tr.a.Export("maker", mcap); err != nil {
 		t.Fatal(err)
 	}
-	waitEligible(t, tr.ba, tr.bc)
+	waitHello(t, tr.ba, tr.bc)
 	bmaker, err := tr.ba.Import("maker")
 	if err != nil {
 		t.Fatal(err)
@@ -609,7 +611,7 @@ func TestChurnThreeKernelTablesReturnToBaseline(t *testing.T) {
 	if err := tr.a.Export("maker", mcap); err != nil {
 		t.Fatal(err)
 	}
-	waitEligible(t, tr.ba, tr.bc)
+	waitHello(t, tr.ba, tr.bc)
 	bmaker, err := tr.ba.Import("maker")
 	if err != nil {
 		t.Fatal(err)
@@ -689,5 +691,78 @@ func TestChurnThreeKernelTablesReturnToBaseline(t *testing.T) {
 			continue
 		}
 		waitTables(t, "A->C post-churn", conn, TableSizes{})
+	}
+}
+
+// countingCompleter records every completion of one call.
+type countingCompleter struct {
+	mu      sync.Mutex
+	n       int
+	results []any
+	err     error
+	done    chan struct{}
+}
+
+func newCountingCompleter() *countingCompleter {
+	return &countingCompleter{done: make(chan struct{})}
+}
+
+func (c *countingCompleter) CompleteWire(results []any, _ int64, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.n++
+	c.results, c.err = results, err
+	if c.n == 1 {
+		close(c.done)
+	}
+}
+
+func (c *countingCompleter) snapshot() (int, []any, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n, c.results, c.err
+}
+
+// A superseded relay route (its proxy's next is set) reissues a call on
+// the shortened route only when the peer refused it before dispatch as
+// an unknown export. A callee error whose text merely says "unknown
+// export" came from a call that ran: it resolves once, with that error,
+// and nothing is sent again.
+func TestHandoffStaleRouteRetriesOnlyRefusedCalls(t *testing.T) {
+	p := newPair(t)
+	p.export(t, "echo", echoSvc{})
+	waitHello(t, p.conn, serverConn(t, p.ln))
+	echo, err := p.conn.Import("echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := &proxyTarget{conn: p.conn, exportID: 1 << 20}
+	stale.next.Store(proxyOf(echo))
+
+	before := frameCounts(p.client)
+	calleeErr := &core.RemoteError{Class: "*errors.errorString", Msg: "unknown export 7"}
+	ran := newCountingCompleter()
+	pa := &pendingAsync{p: stale, call: core.ProxyCall{Method: "Echo", Args: []any{"ran"}}, done: ran}
+	pa.completeWire(wireResult{err: calleeErr})
+	p.conn.Flush()
+	if n, _, err := ran.snapshot(); n != 1 || err != error(calleeErr) {
+		t.Fatalf("callee error on a stale route: %d completions, err %v; want 1, %v", n, err, calleeErr)
+	}
+	if d := frameDelta(p.client, before); len(d) != 0 {
+		t.Fatalf("callee error on a stale route was sent again: frames %v", d)
+	}
+
+	// The peer's own refusal is the one failure that retries, once, on
+	// the shortened route.
+	refused := newCountingCompleter()
+	pa = &pendingAsync{p: stale, call: core.ProxyCall{Method: "Echo", Args: []any{"retried"}}, done: refused}
+	pa.completeWire(wireResult{err: decodeWireErr(errKindNoExport, "", "1048576")})
+	select {
+	case <-refused.done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("refused call never completed on the shortened route")
+	}
+	if n, res, err := refused.snapshot(); n != 1 || err != nil || len(res) != 1 || res[0] != any("retried") {
+		t.Fatalf("refused call: %d completions, %#v %v; want one Echo result", n, res, err)
 	}
 }

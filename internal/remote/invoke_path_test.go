@@ -60,14 +60,51 @@ func wantFrames(t *testing.T, what string, got, want map[string]int64) {
 // shapes: a lone sync call is one msgInvoke carrying one call, answered by
 // one msgReply; calls flushed together leave in one msgInvoke answered by
 // one msgReply; and a traced sync call still carries its trace block to
-// the serving kernel's span.
+// the serving kernel's span. The wire's own round trips are calls on the
+// peer's bootstrap capability, so Import, Ping and the first Methods() of
+// an inline import each cost one msgInvoke and one msgReply as well, and
+// no frame of any other request type crosses the wire.
 func TestInvokeFrameShapes(t *testing.T) {
 	p := newPair(t)
 	p.export(t, "echo", echoSvc{})
-	proxy, err := p.conn.Import("echo")
+	p.export(t, "maker", &makerSvc{k: p.server, d: p.serverDom})
+	waitHello(t, p.conn, serverConn(t, p.ln))
+
+	oneRoundTrip := func(what string, op func()) {
+		t.Helper()
+		cBefore, sBefore := frameCounts(p.client), frameCounts(p.server)
+		op()
+		wantFrames(t, "client, "+what, frameDelta(p.client, cBefore),
+			map[string]int64{"frames_out.invoke": 1, "frames_in.reply": 1, "occupancy.frames": 1, "occupancy.calls": 1})
+		wantFrames(t, "server, "+what, frameDelta(p.server, sBefore),
+			map[string]int64{"frames_in.invoke": 1, "frames_out.reply": 1})
+	}
+	var proxy, maker *core.Capability
+	oneRoundTrip("Import", func() {
+		var err error
+		if proxy, err = p.conn.Import("echo"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	oneRoundTrip("Ping", func() {
+		if err := p.conn.Ping(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var err error
+	if maker, err = p.conn.Import("maker"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := maker.InvokeFrom(p.task, "MakeCounter")
 	if err != nil {
 		t.Fatal(err)
 	}
+	counter := res[0].(*core.Capability)
+	oneRoundTrip("first Methods() of an inline import", func() {
+		if ms := counter.Methods(); len(ms) != 1 || ms[0] != "Add" {
+			t.Fatalf("inline import manifest: %v, want [Add]", ms)
+		}
+	})
 
 	cBefore, sBefore := frameCounts(p.client), frameCounts(p.server)
 	if res, err := proxy.InvokeFrom(p.task, "Echo", "lone"); err != nil || res[0] != any("lone") {
@@ -128,6 +165,13 @@ func TestInvokeFrameShapes(t *testing.T) {
 	}
 	if !served {
 		t.Fatal("traced sync call: no server span parented on the caller's client span")
+	}
+	for _, k := range []*core.Kernel{p.client, p.server} {
+		for _, name := range []string{"remote.frames_in.other", "remote.frames_out.other"} {
+			if n := k.Telemetry().Counter(name).Value(); n != 0 {
+				t.Fatalf("%s = %d, want 0", name, n)
+			}
+		}
 	}
 }
 

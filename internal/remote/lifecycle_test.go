@@ -247,7 +247,7 @@ func TestInlineImportLazyManifest(t *testing.T) {
 
 	// A manifest fetch for a dropped export reports cleanly (no methods),
 	// and does not fault the connection.
-	if ms, err := p.conn.fetchManifest(pt.exportID); err == nil {
+	if ms, _, err := p.conn.peerBootstrap.call(0, "Manifest", pt.exportID); err == nil {
 		t.Fatalf("manifest fetch for dropped export %d returned %v", pt.exportID, ms)
 	}
 	if res, err := maker.InvokeFrom(p.task, "MakeCounter"); err != nil || res[0] == nil {
@@ -554,4 +554,54 @@ func TestChurnAsyncReleaseSweep(t *testing.T) {
 	p.conn.Flush()
 	waitTables(t, "server post-sweep", sc, serverBase)
 	waitTables(t, "client post-sweep", p.conn, TableSizes{Imports: 1})
+}
+
+// The bootstrap capability at export id 0 is out of a peer's reach: a
+// release naming id 0, a returning handle for id 0 and a call of a method
+// the bootstrap lacks each fail on their own, and leave the connection
+// serving with the tables a fresh connection has.
+func TestBootstrapSurvivesHostilePeer(t *testing.T) {
+	p := newPair(t)
+	p.export(t, "echo", echoSvc{})
+	sc := serverConn(t, p.ln)
+	waitHello(t, p.conn, sc)
+
+	var w wbuf
+	w.u8(msgRelease)
+	w.uvarint(1)
+	appendReleaseEntry(&w, releaseEntry{exportID: 0, count: 1, gen: 1})
+	if err := p.conn.send(w.b); err != nil {
+		t.Fatal(err)
+	}
+	// A proxy for the peer's export 0 travels home as a returning handle
+	// (handleKindYours) naming id 0.
+	home, err := p.client.CreateProxyCapability(p.conn.domain, &proxyTarget{conn: p.conn, exportID: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := p.conn.peerBootstrap.call(0, "Lookup", home); err == nil {
+		t.Fatal("a returning handle for id 0 decoded")
+	}
+	if _, _, err := p.conn.peerBootstrap.call(0, "Shutdown"); !errors.Is(err, core.ErrNoSuchMethod) {
+		t.Fatalf("bootstrap call of a missing method: %v, want ErrNoSuchMethod", err)
+	}
+
+	echo, err := p.conn.Import("echo")
+	if err != nil {
+		t.Fatalf("Import after hostile frames: %v", err)
+	}
+	if res, err := echo.InvokeFrom(p.task, "Echo", "still here"); err != nil || res[0] != any("still here") {
+		t.Fatalf("Echo after hostile frames: %#v %v", res, err)
+	}
+
+	// A fresh connection that makes the same Import is the baseline.
+	fresh := newPair(t)
+	fresh.export(t, "echo", echoSvc{})
+	sc2 := serverConn(t, fresh.ln)
+	waitHello(t, fresh.conn, sc2)
+	if _, err := fresh.conn.Import("echo"); err != nil {
+		t.Fatal(err)
+	}
+	waitTables(t, "server", sc, sc2.TableSizes())
+	waitTables(t, "client", p.conn, fresh.conn.TableSizes())
 }

@@ -22,32 +22,16 @@ func msgName(t byte) string {
 		return "reply"
 	case msgRevoke:
 		return "revoke"
-	case msgLookup:
-		return "lookup"
-	case msgLookupReply:
-		return "lookup_reply"
-	case msgPing:
-		return "ping"
-	case msgPong:
-		return "pong"
 	case msgRelease:
 		return "release"
-	case msgManifest:
-		return "manifest"
-	case msgManifestReply:
-		return "manifest_reply"
 	case msgHandoff:
 		return "handoff"
-	case msgRedeem:
-		return "redeem"
-	case msgRedeemReply:
-		return "redeem_reply"
 	default:
 		return "other"
 	}
 }
 
-const maxMsgType = msgRedeemReply
+const maxMsgType = msgHandoff
 
 type connMetrics struct {
 	reg    *telemetry.Registry

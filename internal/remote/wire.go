@@ -32,16 +32,19 @@ import (
 
 // Message types.
 //
-// Type bytes 1 and 2 carried a single-call invoke and reply in builds
-// before every call went through the count-prefixed layout. They are
-// retired, never to be reused: a frame of either type decodes as an
-// unknown type and faults the connection.
+// Every request/reply exchange is an invoke: a capability call
+// (msgInvoke) answered by msgReply. The wire's own round trips — lookup
+// by name, the lazy manifest fetch, handoff redemption and the liveness
+// Hello — are calls on the peer's bootstrap capability, export id 0 (see
+// bootstrap.go). The other frames are one-way.
+//
+// Type bytes 1 and 2 (single-call invoke and reply), 4 and 5 (lookup),
+// 6 and 7 (ping/pong with a feature tail), 11 and 12 (manifest) and 14
+// and 15 (redeem) were used by earlier builds. They are retired, never to
+// be reused: a frame of any of them decodes as an unknown type and faults
+// the connection.
 const (
-	msgRevoke      byte = 3 // exportID, reason
-	msgLookup      byte = 4 // reqID, name
-	msgLookupReply byte = 5 // reqID, status, handle, methods | error
-	msgPing        byte = 6 // reqID: liveness/readiness probe
-	msgPong        byte = 7 // reqID
+	msgRevoke byte = 3 // exportID, reason
 	// Invokes and their replies (the paper's Table 4 lesson applied to the
 	// wire): pending calls coalesce into one frame — a lone call is a count
 	// of one — and the reply carries per-call status so one faulting call
@@ -56,23 +59,15 @@ const (
 	// the generation counter makes a stale or duplicated release for a
 	// re-imported id harmless (see Conn.handleRelease).
 	msgRelease byte = 10 // count, then per entry: exportID, count, gen
-	// Lazy method manifests: capabilities imported inline (as arguments or
-	// results) carry no method list; the first Methods() call fetches it
-	// with one round trip and caches it on the proxy.
-	msgManifest      byte = 11 // reqID, exportID
-	msgManifestReply byte = 12 // reqID, status, methods | error
 	// Three-party handoff (path shortening): when a proxy imported from
 	// kernel A is re-exported to kernel C, the middleman B mints a
 	// redeemable ticket instead of settling for a relay. msgHandoff carries
 	// the ticket registration to A (kind=register) and the offer to C
 	// (kind=offer: A's address, A's export id, and a one-time nonce); C
 	// dials A — or reuses a pooled connection — and trades the nonce for a
-	// first-class import with msgRedeem/msgRedeemReply. Peers that predate
-	// these frames are detected through the ping feature mask, and the
-	// relay path stays as the transparent fallback.
-	msgHandoff     byte = 13 // kind, then register: nonce, exportID | offer: relayID, exportID, nonce, network, addr
-	msgRedeem      byte = 14 // reqID, nonce, exportID
-	msgRedeemReply byte = 15 // reqID, status, exportID, methods | error
+	// first-class import by calling Redeem on A's bootstrap capability.
+	// The relay path stays as the transparent fallback.
+	msgHandoff byte = 13 // kind, then register: nonce, exportID | offer: relayID, exportID, nonce, network, addr
 )
 
 // msgHandoff kinds.
@@ -80,15 +75,6 @@ const (
 	handoffRegister byte = 1 // middleman -> origin: register a ticket
 	handoffOffer    byte = 2 // middleman -> receiver: redeem it at the origin
 )
-
-// Feature bits exchanged in the ping/pong tail. Pre-handoff builds parse
-// only the request id and ignore the tail, which is what makes the
-// exchange backward compatible: an absent tail means an old peer, and no
-// handoff frame is ever sent to one.
-const featHandoff uint64 = 1 << 0
-
-// localFeatures is the feature mask this build announces.
-const localFeatures = featHandoff
 
 // Reply statuses.
 const (
@@ -101,7 +87,7 @@ const (
 	errKindRevoked    byte = 1
 	errKindTerminated byte = 2
 	errKindNoMethod   byte = 3
-	errKindNotFound   byte = 4 // lookup of an unexported name
+	errKindNoExport   byte = 4 // the call names an export id the peer does not hold
 	errKindRemote     byte = 5 // copied callee failure (class + message)
 	errKindProtocol   byte = 6
 )
@@ -311,36 +297,6 @@ type revokeFrame struct {
 	reason   byte
 }
 
-// lookupFrame is an export-name lookup request.
-type lookupFrame struct {
-	reqID uint64
-	name  string
-}
-
-// lookupReplyFrame answers a lookup: a capability handle plus its method
-// manifest, or a wire error.
-type lookupReplyFrame struct {
-	reqID   uint64
-	status  byte
-	handle  uint64
-	methods []string
-	kind    byte
-	class   string
-	msg     string
-}
-
-// pingFrame is a liveness probe or its answer. New builds append a
-// feature mask and their advertised listen address; an absent tail marks
-// a pre-handoff peer (hasFeatures false) that must never see the new
-// frame types.
-type pingFrame struct {
-	reqID       uint64
-	features    uint64
-	hasFeatures bool
-	network     string // advertised listen endpoint ("" when not listening)
-	addr        string
-}
-
 // handoffFrame is one msgHandoff: a ticket registration at the origin
 // (kind=register) or a redeem offer at the receiver (kind=offer).
 type handoffFrame struct {
@@ -352,26 +308,6 @@ type handoffFrame struct {
 	addr     string
 }
 
-// redeemFrame trades a ticket nonce for a first-class import.
-type redeemFrame struct {
-	reqID    uint64
-	nonce    uint64
-	exportID uint64 // cross-check against the registered ticket
-}
-
-// redeemReplyFrame answers a redeem: a fresh export id plus the method
-// manifest (so shortened imports never lazy-fetch through the middleman),
-// or a wire error (unknown/expired ticket, revoked capability).
-type redeemReplyFrame struct {
-	reqID    uint64
-	status   byte
-	exportID uint64
-	methods  []string
-	kind     byte
-	class    string
-	msg      string
-}
-
 // releaseEntry is one import's released wire references: the peer's export
 // id, how many handles the importer received for it, and the import-entry
 // generation those receipts belong to.
@@ -379,23 +315,6 @@ type releaseEntry struct {
 	exportID uint64
 	count    uint64
 	gen      uint64
-}
-
-// manifestFrame asks for an export's method list.
-type manifestFrame struct {
-	reqID    uint64
-	exportID uint64
-}
-
-// manifestReplyFrame answers a manifest fetch: the method list, or a wire
-// error (unknown or revoked export).
-type manifestReplyFrame struct {
-	reqID   uint64
-	status  byte
-	methods []string
-	kind    byte
-	class   string
-	msg     string
 }
 
 // parseTrace decodes the trace block following the method name: one flags
@@ -529,75 +448,6 @@ func parseRevoke(r *rbuf) (revokeFrame, error) {
 	return f, err
 }
 
-func parseLookup(r *rbuf) (lookupFrame, error) {
-	var f lookupFrame
-	var err error
-	if f.reqID, err = r.uvarint(); err != nil {
-		return f, err
-	}
-	f.name, err = r.str()
-	return f, err
-}
-
-func parseLookupReply(r *rbuf) (lookupReplyFrame, error) {
-	var f lookupReplyFrame
-	var err error
-	if f.reqID, err = r.uvarint(); err != nil {
-		return f, err
-	}
-	if f.status, err = r.u8(); err != nil {
-		return f, err
-	}
-	if f.status != statusOK {
-		if f.kind, err = r.u8(); err != nil {
-			return f, err
-		}
-		if f.class, err = r.str(); err != nil {
-			return f, err
-		}
-		f.msg, err = r.str()
-		return f, err
-	}
-	if f.handle, err = r.uvarint(); err != nil {
-		return f, err
-	}
-	n, err := r.count(1)
-	if err != nil {
-		return f, err
-	}
-	f.methods = make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		m, merr := r.str()
-		if merr != nil {
-			return f, merr
-		}
-		f.methods = append(f.methods, m)
-	}
-	return f, nil
-}
-
-func parsePing(r *rbuf) (pingFrame, error) {
-	var f pingFrame
-	var err error
-	if f.reqID, err = r.uvarint(); err != nil {
-		return f, err
-	}
-	if len(r.rest()) == 0 {
-		return f, nil // pre-handoff peer: no feature tail
-	}
-	if f.features, err = r.uvarint(); err != nil {
-		return f, err
-	}
-	f.hasFeatures = true
-	if f.network, err = r.str(); err != nil {
-		return f, err
-	}
-	f.addr, err = r.str()
-	// Bytes past the advertise tail belong to future extensions and are
-	// ignored, exactly as pre-handoff builds ignore this whole tail.
-	return f, err
-}
-
 func parseHandoff(r *rbuf) (handoffFrame, error) {
 	var f handoffFrame
 	var err error
@@ -636,56 +486,6 @@ func parseHandoff(r *rbuf) (handoffFrame, error) {
 	}
 }
 
-func parseRedeem(r *rbuf) (redeemFrame, error) {
-	var f redeemFrame
-	var err error
-	if f.reqID, err = r.uvarint(); err != nil {
-		return f, err
-	}
-	if f.nonce, err = r.uvarint(); err != nil {
-		return f, err
-	}
-	f.exportID, err = r.uvarint()
-	return f, err
-}
-
-func parseRedeemReply(r *rbuf) (redeemReplyFrame, error) {
-	var f redeemReplyFrame
-	var err error
-	if f.reqID, err = r.uvarint(); err != nil {
-		return f, err
-	}
-	if f.status, err = r.u8(); err != nil {
-		return f, err
-	}
-	if f.status != statusOK {
-		if f.kind, err = r.u8(); err != nil {
-			return f, err
-		}
-		if f.class, err = r.str(); err != nil {
-			return f, err
-		}
-		f.msg, err = r.str()
-		return f, err
-	}
-	if f.exportID, err = r.uvarint(); err != nil {
-		return f, err
-	}
-	n, err := r.count(1)
-	if err != nil {
-		return f, err
-	}
-	f.methods = make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		m, merr := r.str()
-		if merr != nil {
-			return f, merr
-		}
-		f.methods = append(f.methods, m)
-	}
-	return f, nil
-}
-
 func parseRelease(r *rbuf) ([]releaseEntry, error) {
 	n, err := r.count(3) // exportID + count + gen, 1 byte each minimum
 	if err != nil {
@@ -714,50 +514,6 @@ func parseRelease(r *rbuf) ([]releaseEntry, error) {
 	return entries, nil
 }
 
-func parseManifest(r *rbuf) (manifestFrame, error) {
-	var f manifestFrame
-	var err error
-	if f.reqID, err = r.uvarint(); err != nil {
-		return f, err
-	}
-	f.exportID, err = r.uvarint()
-	return f, err
-}
-
-func parseManifestReply(r *rbuf) (manifestReplyFrame, error) {
-	var f manifestReplyFrame
-	var err error
-	if f.reqID, err = r.uvarint(); err != nil {
-		return f, err
-	}
-	if f.status, err = r.u8(); err != nil {
-		return f, err
-	}
-	if f.status != statusOK {
-		if f.kind, err = r.u8(); err != nil {
-			return f, err
-		}
-		if f.class, err = r.str(); err != nil {
-			return f, err
-		}
-		f.msg, err = r.str()
-		return f, err
-	}
-	n, err := r.count(1)
-	if err != nil {
-		return f, err
-	}
-	f.methods = make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		m, merr := r.str()
-		if merr != nil {
-			return f, merr
-		}
-		f.methods = append(f.methods, m)
-	}
-	return f, nil
-}
-
 // decodeFrame decodes one frame into its typed form: (msgType, frame,
 // nil) on success, an error on malformed input. It is the single decode
 // entry point for conn.dispatch and for the fuzz targets.
@@ -775,24 +531,10 @@ func decodeFrame(frame []byte) (byte, any, error) {
 		v, err = parseReply(r)
 	case msgRevoke:
 		v, err = parseRevoke(r)
-	case msgLookup:
-		v, err = parseLookup(r)
-	case msgLookupReply:
-		v, err = parseLookupReply(r)
-	case msgPing, msgPong:
-		v, err = parsePing(r)
 	case msgRelease:
 		v, err = parseRelease(r)
-	case msgManifest:
-		v, err = parseManifest(r)
-	case msgManifestReply:
-		v, err = parseManifestReply(r)
 	case msgHandoff:
 		v, err = parseHandoff(r)
-	case msgRedeem:
-		v, err = parseRedeem(r)
-	case msgRedeemReply:
-		v, err = parseRedeemReply(r)
 	default:
 		return t, nil, fmt.Errorf("remote: unknown message type %d", t)
 	}
@@ -836,15 +578,6 @@ func appendReplyHeader(w *wbuf, rep *replyFrame) {
 	w.u8(rep.kind)
 	w.str(rep.class)
 	w.str(rep.msg)
-}
-
-// appendPing encodes a ping or pong with the feature/advertise tail.
-func appendPing(w *wbuf, t byte, reqID uint64, network, addr string) {
-	w.u8(t)
-	w.uvarint(reqID)
-	w.uvarint(localFeatures)
-	w.str(network)
-	w.str(addr)
 }
 
 // encodeRegister builds the middleman -> origin ticket registration.
