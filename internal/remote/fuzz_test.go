@@ -150,6 +150,23 @@ var badTraceFrames = [][]byte{
 	{msgInvoke, 1, 1, 0, 4, 'E', 'c', 'h', 'o', 1, 7},
 }
 
+// retiredFrames hold one well-formed frame in each retired message type:
+// the single-call invoke and reply (1, 2), lookup and its reply (4, 5),
+// ping and pong with the feature tail (6, 7), manifest and its reply
+// (11, 12), redeem and its reply (14, 15). The decoder must reject each.
+var retiredFrames = [][]byte{
+	{1, 1, 0, 4, 'E', 'c', 'h', 'o', 0},
+	{2, 1, statusOK},
+	{4, 1, 4, 'e', 'c', 'h', 'o'},
+	{5, 1, statusOK, 2, 1, 4, 'E', 'c', 'h', 'o'},
+	{6, 1, 1, 0, 0},
+	{7, 1, 1, 0, 0},
+	{11, 1, 1},
+	{12, 1, statusOK, 1, 4, 'E', 'c', 'h', 'o'},
+	{14, 1, 9, 1},
+	{15, 1, statusOK, 2, 1, 4, 'E', 'c', 'h', 'o'},
+}
+
 // FuzzDecodeFrame drives arbitrary bytes through the full inbound decode
 // surface: the frame parsers (decodeFrame, exactly what conn.dispatch
 // runs) and, for frames that carry them, the seri argument/result
@@ -171,6 +188,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{msgHandoff, handoffOffer, 3, 9, 5, 4, 'u', 'n', 'i', 'x', 0})
 	// A Redeem call whose argument stream stops mid-ticket.
 	f.Add([]byte{msgInvoke, 1, 12, 0, 6, 'R', 'e', 'd', 'e', 'e', 'm', 0, 2, 0xff, 0xff})
+	// Frames in the retired message types: the fuzzer mutates from their
+	// rejection paths too.
+	for _, frame := range retiredFrames {
+		f.Add(frame)
+	}
 	reg := seri.NewRegistry()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, v, err := decodeFrame(data)
@@ -217,26 +239,14 @@ func TestMalformedFrameFaultsConnection(t *testing.T) {
 
 	// Raw client: each well-framed payload of garbage on its own
 	// connection — a bad message type, a count overrunning its frame, a
-	// truncated reply, the malformed trace blocks, and one well-formed
-	// frame in each retired type: the single-call invoke and reply (1, 2),
-	// lookup and its reply (4, 5), ping and pong with the feature tail
-	// (6, 7), manifest and its reply (11, 12), redeem and its reply
-	// (14, 15).
+	// truncated reply, the retired frame types and the malformed trace
+	// blocks.
 	frames := [][]byte{
 		{0xff, 0x01, 0x02},
 		{msgInvoke, 0xce, 0xff, 0xff},
 		{msgReply},
-		{1, 1, 0, 4, 'E', 'c', 'h', 'o', 0},
-		{2, 1, statusOK},
-		{4, 1, 4, 'e', 'c', 'h', 'o'},
-		{5, 1, statusOK, 2, 1, 4, 'E', 'c', 'h', 'o'},
-		{6, 1, 1, 0, 0},
-		{7, 1, 1, 0, 0},
-		{11, 1, 1},
-		{12, 1, statusOK, 1, 4, 'E', 'c', 'h', 'o'},
-		{14, 1, 9, 1},
-		{15, 1, statusOK, 2, 1, 4, 'E', 'c', 'h', 'o'},
 	}
+	frames = append(frames, retiredFrames...)
 	for _, garbage := range append(frames, badTraceFrames...) {
 		nc, err := net.Dial("unix", sock)
 		if err != nil {
