@@ -56,9 +56,9 @@ type Conn struct {
 	pendingHandoffs   map[uint64]parkedOffer // redeem offers that raced ahead of their relay import
 	releasedImports   map[uint64]time.Time   // fully-released ids; a revoke crossing the release is stale
 
-	// bootstrap is this side's bootstrap capability, served to the peer at
-	// export id 0; peerBootstrap is the route to the peer's (bootstrap.go).
-	bootstrap     *core.Capability
+	// boot is this side's bootstrap, served to the peer at export id 0;
+	// peerBootstrap is the route to the peer's (bootstrap.go).
+	boot          bootstrap
 	peerBootstrap *proxyTarget
 
 	// batch coalesces pending asynchronous invokes into multi-invoke
@@ -123,19 +123,12 @@ func NewConn(k *core.Kernel, nc net.Conn) (*Conn, error) {
 		return k.NewDetachedTask(d, "remote-call")
 	}
 	c.metrics = newConnMetrics(k, c)
-	//jk:allow(capleak) the bootstrap never crosses a domain boundary: only serveInvoke calls it, from the connection's own domain, and its manifests ([]string) leave by seri marshal onto the wire
-	if c.bootstrap, err = k.CreateNativeCapability(d, &bootstrap{c: c}); err != nil {
-		d.Terminate("remote connection setup failed")
-		return nil, err
-	}
+	c.boot = bootstrap{c: c}
 	c.peerBootstrap = &proxyTarget{conn: c, exportID: 0}
-	// Announce our listen endpoint and learn the peer's with one Hello.
-	// It is queued before the goroutines start, so it is always the
-	// connection's first request (id 1).
-	network, addr := advertised(k)
-	c.peerBootstrap.InvokeProxyAsync(core.ProxyCall{Method: "Hello", Args: []any{network, addr}}, helloDone{c})
 	go c.readLoop()
 	go c.batch.run()
+	// Announce our listen endpoint and learn the peer's with one Hello.
+	go func() { _ = c.Ping(10 * time.Second) }()
 	return c, nil
 }
 
@@ -1186,7 +1179,7 @@ func (c *Conn) wireResultOf(rep replyFrame) wireResult {
 }
 
 // serveInvoke runs one inbound call on a local export — or, for export
-// id 0, on the connection's bootstrap capability — and builds its reply.
+// id 0, on the connection's bootstrap — and builds its reply.
 // Every failure — unknown export, argument decode, callee error,
 // unencodable results — lands in the reply's own status, which is what
 // gives the calls of one frame per-call error isolation for free.
@@ -1199,18 +1192,17 @@ func (c *Conn) serveInvoke(f invokeFrame, argsDone func()) replyFrame {
 	errRep := func(kind byte, class, msg string) replyFrame {
 		return replyFrame{reqID: f.reqID, status: statusErr, kind: kind, class: clipErrText(class), msg: clipErrText(msg)}
 	}
-	cap := c.bootstrap
+	var cap *core.Capability
 	if f.exportID != 0 {
-		cap = c.exportedCap(f.exportID)
-	}
-	if cap == nil {
-		argsDone()
-		return errRep(errKindNoExport, "", strconv.FormatUint(f.exportID, 10))
-	}
-	if cap.Stub != nil {
-		argsDone()
-		return errRep(errKindRemote, "UnsupportedOperation",
-			"remote invocation of VM capabilities is not supported yet")
+		if cap = c.exportedCap(f.exportID); cap == nil {
+			argsDone()
+			return errRep(errKindNoExport, "", strconv.FormatUint(f.exportID, 10))
+		}
+		if cap.Stub != nil {
+			argsDone()
+			return errRep(errKindRemote, "UnsupportedOperation",
+				"remote invocation of VM capabilities is not supported yet")
+		}
 	}
 	args, err := c.unmarshalVector(f.args)
 	argsDone() // decode copies everything out; the frame is free to recycle
@@ -1218,6 +1210,42 @@ func (c *Conn) serveInvoke(f invokeFrame, argsDone func()) replyFrame {
 		return errRep(errKindProtocol, "", err.Error())
 	}
 
+	var results []any
+	var callErr error
+	if cap == nil {
+		results, callErr = c.boot.serve(f.method, args)
+	} else {
+		results, callErr = c.invokeExport(f, cap, args)
+	}
+	if callErr != nil {
+		kind, class, msg := encodeWireErr(callErr)
+		return errRep(kind, class, msg)
+	}
+	if len(results) == 0 {
+		// Void results — the bulk of small traffic — take no buffer.
+		return replyFrame{reqID: f.reqID, status: statusOK}
+	}
+	resFb := getFrame(64)
+	rollback, err := c.marshalVectorInto(resFb, results)
+	if err != nil {
+		resFb.release()
+		return errRep(errKindProtocol, "", "encode results: "+err.Error())
+	}
+	if len(resFb.b)+32 > maxFrame {
+		rollback()
+		// Read the length out before release: released bytes are the
+		// pool's (poisoned under test).
+		n := len(resFb.b)
+		resFb.release()
+		return errRep(errKindProtocol, "",
+			fmt.Sprintf("results of %d bytes exceed the frame limit", n))
+	}
+	return replyFrame{reqID: f.reqID, status: statusOK, body: resFb.b, bodyBuf: resFb}
+}
+
+// invokeExport runs one inbound call on a local export through LRMI, as
+// a task of the connection's domain, with the call's server span.
+func (c *Conn) invokeExport(f invokeFrame, cap *core.Capability, args []any) ([]any, error) {
 	m := c.metrics
 	// Untraced frames sample off the request id — monotonic per client
 	// connection, so it is an exact 1-in-64 tick with no shared counter.
@@ -1249,35 +1277,11 @@ func (c *Conn) serveInvoke(f invokeFrame, argsDone func()) replyFrame {
 	if m != nil {
 		m.serverSpan(f, serverSpan, cap.Owner().Name, start, callErr)
 	}
-
-	if callErr != nil {
-		kind, class, msg := encodeWireErr(callErr)
-		return errRep(kind, class, msg)
-	}
-	if len(results) == 0 {
-		// Void results — the bulk of small traffic — take no buffer.
-		return replyFrame{reqID: f.reqID, status: statusOK}
-	}
-	resFb := getFrame(64)
-	rollback, err := c.marshalVectorInto(resFb, results)
-	if err != nil {
-		resFb.release()
-		return errRep(errKindProtocol, "", "encode results: "+err.Error())
-	}
-	if len(resFb.b)+32 > maxFrame {
-		rollback()
-		// Read the length out before release: released bytes are the
-		// pool's (poisoned under test).
-		n := len(resFb.b)
-		resFb.release()
-		return errRep(errKindProtocol, "",
-			fmt.Sprintf("results of %d bytes exceed the frame limit", n))
-	}
-	return replyFrame{reqID: f.reqID, status: statusOK, body: resFb.b, bodyBuf: resFb}
+	return results, callErr
 }
 
-// batchRun is the shared state of one inbound msgInvoke frame, and
-// callJob one call's slot in it.
+// batchRun is the shared state of the calls of one inbound msgInvoke
+// frame that answer together, and callJob one call's slot in it.
 type batchRun struct {
 	c     *Conn
 	fb    *frameBuf // the frame the calls' argument streams alias
@@ -1316,12 +1320,33 @@ func (b *batchRun) argsDone() {
 // executor — off the reader, so it keeps draining replies while a worker
 // servicing a call calls back into us mid-request — and the calls of a
 // batch run concurrently, each an independent invocation exactly as if it
-// had arrived in its own frame. The call that finishes last writes the
-// replies, so no goroutine waits on the frame. The frame buffer rides
-// along (the calls' args alias it) until every argument stream is
-// decoded.
+// had arrived in its own frame. Bootstrap calls (export id 0) are moved
+// to the tail and each answers in a reply frame of its own: a Hello probe
+// or a Redeem must never wait on a slow user call it shared a frame with.
 func (c *Conn) serveFrame(fb *frameBuf, inv *invokeMsg) {
-	b := &batchRun{c: c, fb: fb, calls: inv.calls}
+	calls := inv.calls
+	n := len(calls)
+	for i := 0; i < n; {
+		if calls[i].exportID == 0 {
+			n--
+			calls[i], calls[n] = calls[n], calls[i]
+		} else {
+			i++
+		}
+	}
+	for i := n; i < len(calls); i++ {
+		c.serveCalls(fb, calls[i:i+1])
+	}
+	if n > 0 {
+		c.serveCalls(fb, calls[:n])
+	}
+}
+
+// serveCalls runs calls, which alias fb, as one batchRun: the call that
+// finishes last writes their replies, so no goroutine waits on the run.
+// The frame buffer rides along until every argument stream is decoded.
+func (c *Conn) serveCalls(fb *frameBuf, calls []invokeFrame) {
+	b := &batchRun{c: c, fb: fb, calls: calls}
 	b.jobs = b.oneJob[:]
 	if len(b.calls) > 1 {
 		b.jobs = make([]callJob, len(b.calls))

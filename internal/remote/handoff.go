@@ -17,8 +17,8 @@ import (
 // registered with A — instead of settling for a relay in which every C
 // invoke transits B. C dials A (or reuses a pooled connection to it),
 // redeems the ticket for a fresh first-class export by calling Redeem on
-// A's bootstrap capability, and retargets its existing proxy capability
-// onto the direct route; the relay import is then released, draining B's
+// A's bootstrap, and retargets its existing proxy capability onto the
+// direct route; the relay import is then released, draining B's
 // tables back to baseline. The relay path is minted regardless and stays
 // as the transparent fallback: an origin whose address is unknown or
 // unreachable, or an expired ticket, just leaves the two-hop route in

@@ -109,16 +109,17 @@ func newTriple(t testing.TB) *triple {
 }
 
 // waitHello blocks until every listed connection's announcement — the
-// Hello NewConn queues as the connection's first request (id 1) — has
-// been answered, so the peers have swapped advertised endpoints and no
-// bootstrap call is left in flight to perturb a test's counts.
+// Hello NewConn sends — has been answered, so the peers have swapped
+// advertised endpoints and no bootstrap call is left in flight to perturb
+// a test's counts. Call it before the test's own first request on those
+// connections: it waits for one request to have been made and none to be
+// pending.
 func waitHello(t testing.TB, conns ...*Conn) {
 	t.Helper()
 	answered := func(c *Conn) bool {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		_, waiting := c.pending[1]
-		return !waiting
+		return c.nextReq > 0 && len(c.pending) == 0
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for _, c := range conns {

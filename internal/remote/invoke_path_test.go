@@ -37,6 +37,11 @@ func frameDelta(k *core.Kernel, before map[string]int64) map[string]int64 {
 	return d
 }
 
+// lrmiCalls reads k's count of cross-domain calls.
+func lrmiCalls(k *core.Kernel) int64 {
+	return k.Telemetry().Counter("core.lrmi.calls").Value()
+}
+
 // queued reports how many calls wait in b's queue.
 func queued(b *batcher) int {
 	b.mu.Lock()
@@ -61,9 +66,10 @@ func wantFrames(t *testing.T, what string, got, want map[string]int64) {
 // one msgReply; calls flushed together leave in one msgInvoke answered by
 // one msgReply; and a traced sync call still carries its trace block to
 // the serving kernel's span. The wire's own round trips are calls on the
-// peer's bootstrap capability, so Import, Ping and the first Methods() of
-// an inline import each cost one msgInvoke and one msgReply as well, and
-// no frame of any other request type crosses the wire.
+// peer's bootstrap, so Import, Ping and the first Methods() of an inline
+// import each cost one msgInvoke and one msgReply as well, and no frame of
+// any other request type crosses the wire. Serving them makes no LRMI, so
+// they add no LRMI count and no call-graph edge on either kernel.
 func TestInvokeFrameShapes(t *testing.T) {
 	p := newPair(t)
 	p.export(t, "echo", echoSvc{})
@@ -73,11 +79,15 @@ func TestInvokeFrameShapes(t *testing.T) {
 	oneRoundTrip := func(what string, op func()) {
 		t.Helper()
 		cBefore, sBefore := frameCounts(p.client), frameCounts(p.server)
+		cLRMI, sLRMI := lrmiCalls(p.client), lrmiCalls(p.server)
 		op()
 		wantFrames(t, "client, "+what, frameDelta(p.client, cBefore),
 			map[string]int64{"frames_out.invoke": 1, "frames_in.reply": 1, "occupancy.frames": 1, "occupancy.calls": 1})
 		wantFrames(t, "server, "+what, frameDelta(p.server, sBefore),
 			map[string]int64{"frames_in.invoke": 1, "frames_out.reply": 1})
+		if c, s := lrmiCalls(p.client)-cLRMI, lrmiCalls(p.server)-sLRMI; c != 0 || s != 0 {
+			t.Fatalf("%s made LRMI calls: client %d, server %d, want 0", what, c, s)
+		}
 	}
 	var proxy, maker *core.Capability
 	oneRoundTrip("Import", func() {
@@ -170,6 +180,11 @@ func TestInvokeFrameShapes(t *testing.T) {
 		for _, name := range []string{"remote.frames_in.other", "remote.frames_out.other"} {
 			if n := k.Telemetry().Counter(name).Value(); n != 0 {
 				t.Fatalf("%s = %d, want 0", name, n)
+			}
+		}
+		for _, e := range k.Telemetry().Snapshot().CallGraph {
+			if e.Caller == e.Callee {
+				t.Fatalf("call graph has a self-edge %s -> %s (%d calls)", e.Caller, e.Callee, e.Calls)
 			}
 		}
 	}
@@ -286,5 +301,63 @@ func TestConnGoroutinesExitOnClose(t *testing.T) {
 			t.Fatalf("goroutines: %d after close, %d at baseline\n%s", runtime.NumGoroutine(), base, buf[:n])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// A bootstrap call answers on its own, even when it leaves in the same
+// msgInvoke frame as a user call that blocks: a scheduler's health probe
+// (Ping) or a handoff's Redeem must never wait for a slow user call it
+// happened to share a flush with.
+func TestBootstrapCallNotHeldBySlowFrameMate(t *testing.T) {
+	p := newPair(t)
+	p.export(t, "echo", echoSvc{})
+	block := &blockSvc{gate: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(block.gate) })
+	defer release()
+	p.export(t, "block", block)
+	waitHello(t, p.conn, serverConn(t, p.ln))
+	echo, err := p.conn.Import("echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocker, err := p.conn.Import("block")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Park the flusher on the frame-write lock with one call in hand, so
+	// the blocking call and the Ping queue behind it and leave together.
+	sBefore := frameCounts(p.server)
+	p.conn.wmu.Lock()
+	first := echo.InvokeAsyncFrom(p.task, "Null")
+	for deadline := time.Now().Add(5 * time.Second); queued(p.conn.batch) > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			p.conn.wmu.Unlock()
+			t.Fatal("flusher never took the first call")
+		}
+	}
+	held := blocker.InvokeAsyncFrom(p.task, "Wait")
+	pinged := make(chan error, 1)
+	go func() { pinged <- p.conn.Ping(2 * time.Second) }()
+	for deadline := time.Now().Add(5 * time.Second); queued(p.conn.batch) < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			p.conn.wmu.Unlock()
+			t.Fatal("Ping never queued beside the blocking call")
+		}
+	}
+	p.conn.wmu.Unlock()
+
+	if err := <-pinged; err != nil {
+		t.Fatalf("Ping sharing a frame with a blocked call: %v", err)
+	}
+	if _, err := first.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got := frameDelta(p.server, sBefore)["frames_in.invoke"]; got != 2 {
+		t.Fatalf("server read %d invoke frames, want 2 (the Ping shared the blocked call's)", got)
+	}
+	release()
+	if _, err := held.Wait(); err != nil {
+		t.Fatalf("blocked call after release: %v", err)
 	}
 }

@@ -35,7 +35,7 @@ import (
 // Every request/reply exchange is an invoke: a capability call
 // (msgInvoke) answered by msgReply. The wire's own round trips — lookup
 // by name, the lazy manifest fetch, handoff redemption and the liveness
-// Hello — are calls on the peer's bootstrap capability, export id 0 (see
+// Hello — are calls on the peer's bootstrap, export id 0 (see
 // bootstrap.go). The other frames are one-way.
 //
 // Type bytes 1 and 2 (single-call invoke and reply), 4 and 5 (lookup),
@@ -65,7 +65,7 @@ const (
 	// the ticket registration to A (kind=register) and the offer to C
 	// (kind=offer: A's address, A's export id, and a one-time nonce); C
 	// dials A — or reuses a pooled connection — and trades the nonce for a
-	// first-class import by calling Redeem on A's bootstrap capability.
+	// first-class import by calling Redeem on A's bootstrap.
 	// The relay path stays as the transparent fallback.
 	msgHandoff byte = 13 // kind, then register: nonce, exportID | offer: relayID, exportID, nonce, network, addr
 )
